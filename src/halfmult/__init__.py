@@ -29,7 +29,6 @@ from .coloring import (
     construct_coloring,
     pair_index,
     sizing,
-    sizing_log2,
     verify_certificate,
 )
 from .errors import BudgetError, CertificateFormatError, RamseyTableError
@@ -41,7 +40,6 @@ from .f2 import (
     f2_rank,
     f2_span,
     pack_bits,
-    symplectic_form,
     unpack_bits,
 )
 from .graphs import (

@@ -321,8 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--threads",
         type=int,
-        default=int(os.environ.get("RAMSEY_THREADS", "1")),
-        help="cap on internal parallelism (results never depend on it)",
+        default=os.environ.get("RAMSEY_THREADS", "1"),
+        help="accepted, but no computation is parallel yet, so it has no effect",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -27,7 +27,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificateFormatError
-from .graphs import Graph, find_clique, from_edges, has_clique
+from .bounds import multicolor_lower
+from .graphs import Graph, find_clique, from_edges, has_clique, packed_adjacency
 from .rng import make_rng
 
 _MAGIC = "halfmult-certificate v1"
@@ -202,11 +203,7 @@ def construct_coloring(
 
     m = n * (n - 1) // 2
     x_idx, y_idx = np.triu_indices(n, 1)  # row-major order matches pair_index
-    dense = np.zeros((g.n, g.n), dtype=bool)
-    for v, row in enumerate(g.adj):
-        for u in range(g.n):
-            if (row >> u) & 1:
-                dense[v, u] = True
+    dense = np.unpackbits(packed_adjacency(g), axis=1, count=g.n, bitorder="little").astype(bool)
 
     violations: list[tuple[int, int, tuple[int, ...]]] = []
     for attempt in range(max_attempts):
@@ -241,13 +238,6 @@ def construct_coloring(
     )
 
 
-def sizing_log2(t: int, ell: int, p_value) -> float:
-    """log2 of the target vertex count p_value^(-(ell-2)/t) * 2^((t-1)/2)."""
-    from .bounds import multicolor_lower
-
-    return multicolor_lower(t, ell, p_value)
-
-
 def sizing(t: int, ell: int, p_value) -> int:
     """floor(p_value^(-(ell-2)/t) * 2^((t-1)/2)).
 
@@ -257,7 +247,7 @@ def sizing(t: int, ell: int, p_value) -> int:
     true value is an exact integer that floating point lands just under.
     Values beyond 2^63 raise OverflowError naming the log2 instead.
     """
-    log2n = sizing_log2(t, ell, p_value)
+    log2n = multicolor_lower(t, ell, p_value)
     if log2n > 63:
         raise OverflowError(f"N exceeds 2^63; log2(N) = {log2n:.6f}")
     x = 2.0**log2n

@@ -11,23 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BudgetError
 from .graphs import Graph
 
 GRAPH_VERTEX_BUDGET = 1 << 14
 ENUMERATION_T_BUDGET = 10
-
-_PARITY16: np.ndarray | None = None
-
-
-def _parity16_table() -> np.ndarray:
-    global _PARITY16
-    if _PARITY16 is None:
-        bits = np.unpackbits(np.arange(1 << 16, dtype=np.uint16).view(np.uint8))
-        _PARITY16 = bits.reshape(-1, 16).sum(axis=1).astype(np.uint8) & 1
-    return _PARITY16
 
 
 def pack_bits(bits) -> int:
@@ -74,11 +62,6 @@ class SymplecticSpace:
         return (_swap_pairs(u, self.dim) & v).bit_count() & 1
 
 
-def symplectic_form(u: int, v: int, space: SymplecticSpace) -> int:
-    """Standard symplectic pairing of u and v; symmetric and bilinear over F2."""
-    return space.form(u, v)
-
-
 def f2_rank(vectors: list[int]) -> int:
     """Rank of the span over F2, by Gaussian elimination on int bitsets."""
     basis: list[int] = []
@@ -111,14 +94,16 @@ def build_cf_graph(t: int, *, budget: int = GRAPH_VERTEX_BUDGET) -> Graph:
     n = 1 << dim
     if n > budget:
         raise ValueError(f"2^(t-2) = {n} exceeds the vertex budget {budget}")
-    vectors = np.arange(n, dtype=np.int64)
-    parity16 = _parity16_table()
-    adj = []
-    for u in range(n):
-        masked = vectors & _swap_pairs(u, dim)
-        bits = parity16[masked & 0xFFFF] ^ parity16[masked >> 16]
-        row = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-        adj.append(row)
+    # row(w) = {x : w.x = 1} is linear in w, and row(e_i) is coord[i], the
+    # bitset of vectors with coordinate i set; the form is u.x with u's
+    # paired coordinates swapped.
+    full = (1 << n) - 1
+    coord = [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(dim)]
+    rows = [0] * n
+    for w in range(1, n):
+        low = w & -w
+        rows[w] = rows[w ^ low] ^ coord[low.bit_length() - 1]
+    adj = [rows[_swap_pairs(u, dim)] for u in range(n)]
     return Graph(n, tuple(adj))
 
 

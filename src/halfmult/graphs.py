@@ -104,6 +104,13 @@ def sample_er_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def packed_adjacency(g: Graph) -> np.ndarray:
+    """Adjacency as an (n, ceil(n/8)) uint8 array: row v, byte u >> 3, bit u & 7."""
+    width = (g.n + 7) // 8
+    rows = b"".join(row.to_bytes(width, "little") for row in g.adj)
+    return np.frombuffer(rows, dtype=np.uint8).reshape(g.n, width)
+
+
 # ---------------------------------------------------------------------------
 # Clique search: branch and bound with greedy-coloring upper bounds.
 # ---------------------------------------------------------------------------
@@ -130,6 +137,8 @@ def _color_sort(adj: tuple[int, ...], cand: int) -> tuple[list[int], list[int]]:
 
 
 def _expand(adj: tuple[int, ...], cand: int, current: list[int], best: list, stop_at: int | None) -> None:
+    if len(current) + cand.bit_count() <= best[0]:
+        return  # cheaper than colouring, and never looser: colours <= candidates
     order, bounds = _color_sort(adj, cand)
     for i in range(len(order) - 1, -1, -1):
         if stop_at is not None and best[0] >= stop_at:
@@ -148,21 +157,31 @@ def _expand(adj: tuple[int, ...], cand: int, current: list[int], best: list, sto
         cand &= ~(1 << v)
 
 
-def _search_clique(g: Graph, lower: int, stop_at: int | None) -> tuple[int, tuple[int, ...] | None]:
-    if g.n == 0:
-        return 0, None
-    # Root vertices in descending-degree order: strong branches first.
-    by_degree = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    perm = {v: i for i, v in enumerate(by_degree)}
-    adj = tuple(
-        sum(1 << perm[u] for u in _bits(g.adj[v])) for v in by_degree
-    )
-    best: list = [lower, None]
-    _expand(adj, (1 << g.n) - 1, [], best, stop_at)
-    if best[1] is None:
-        return best[0], None
-    witness = tuple(sorted(by_degree[i] for i in best[1]))
-    return best[0], witness
+def _clique_in(adj, cand: int, k: int) -> tuple[int, ...] | None:
+    """A clique of at least k vertices inside the bitset cand, or None;
+    adj[v] is the neighbour bitset of v.
+
+    The mask-level entry to the branch and bound: k <= 0 gives the empty
+    clique and k = 1 the lowest candidate, without a search.
+    """
+    if k <= 0:
+        return ()
+    if cand.bit_count() < k:
+        return None
+    if k == 1:
+        return ((cand & -cand).bit_length() - 1,)
+    best: list = [k - 1, None]
+    _expand(adj, cand, [], best, k)
+    return best[1]
+
+
+def _by_degree(g: Graph) -> tuple[list[int], tuple[int, ...]]:
+    """Relabel in descending-degree order, so strong branches come first;
+    returns the old label of each new vertex and the relabelled rows."""
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    perm = {v: i for i, v in enumerate(order)}
+    adj = tuple(sum(1 << perm[u] for u in _bits(g.adj[v])) for v in order)
+    return order, adj
 
 
 def _bits(mask: int):
@@ -174,10 +193,10 @@ def _bits(mask: int):
 
 def max_clique_size(g: Graph) -> int:
     """Clique number, by branch and bound with coloring bounds."""
-    if g.n == 0:
-        return 0
-    size, _ = _search_clique(g, 0, None)
-    return size
+    _, adj = _by_degree(g)
+    best: list = [0, None]
+    _expand(adj, (1 << g.n) - 1, [], best, None)
+    return best[0]
 
 
 def find_clique(g: Graph, t: int) -> tuple[int, ...] | None:
@@ -189,12 +208,11 @@ def find_clique(g: Graph, t: int) -> tuple[int, ...] | None:
         raise ValueError("clique size must be at least 1")
     if t == 1:
         return (0,) if g.n >= 1 else None
-    if t > g.n:
+    order, adj = _by_degree(g)
+    found = _clique_in(adj, (1 << g.n) - 1, t)
+    if found is None:
         return None
-    _, witness = _search_clique(g, t - 1, t)
-    if witness is None:
-        return None
-    witness = witness[:t]
+    witness = tuple(sorted(order[i] for i in found))[:t]
     for i in range(t):
         for j in range(i + 1, t):
             if not g.has_edge(witness[i], witness[j]):

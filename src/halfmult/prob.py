@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BudgetError
-from .graphs import EXACT_COUNT_BUDGET, Graph, independence_profile
+from .graphs import EXACT_COUNT_BUDGET, Graph, independence_profile, packed_adjacency
 from .rng import make_rng
 
 _STIRLING_ROWS: list[list[int]] = [[1]]
@@ -82,11 +82,7 @@ def mc_independence_prob(g: Graph, s: int, trials: int, seed: int) -> McEstimate
         raise ValueError("s must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    # Bit-packed adjacency lookup table: row v, byte u>>3, bit u&7.
-    width = (g.n + 7) // 8
-    packed = np.frombuffer(
-        b"".join(row.to_bytes(width, "little") for row in g.adj), dtype=np.uint8
-    ).reshape(g.n, width)
+    packed = packed_adjacency(g)
     rng = make_rng(seed)
     hits = 0
     chunk = 1 << 16

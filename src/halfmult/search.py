@@ -15,26 +15,10 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import BudgetError
-from .graphs import Graph, from_edges, to_graph6
+from .graphs import Graph, _clique_in, complement, from_edges, has_clique, to_graph6
 from .prob import exact_independence_prob
 
 ENUMERATION_BUDGET = 8
-
-
-def _has_clique_in_mask(adj: list[int], mask: int, k: int) -> bool:
-    """Does the induced subgraph on mask contain a k-clique?"""
-    if k <= 0:
-        return True
-    if mask.bit_count() < k:
-        return False
-    m = mask
-    while m:
-        low = m & -m
-        m ^= low
-        v = low.bit_length() - 1
-        if _has_clique_in_mask(adj, m & adj[v], k - 1):
-            return True
-    return False
 
 
 def enumerate_ktfree(n: int, t: int | None, *, budget: int = ENUMERATION_BUDGET) -> Iterator[Graph]:
@@ -59,7 +43,7 @@ def enumerate_ktfree(n: int, t: int | None, *, budget: int = ENUMERATION_BUDGET)
             return
         u, v = pairs[i]
         yield from rec(i + 1)
-        if t is None or not _has_clique_in_mask(adj, adj[u] & adj[v], t - 2):
+        if t is None or _clique_in(adj, adj[u] & adj[v], t - 2) is None:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             yield from rec(i + 1)
@@ -207,41 +191,15 @@ def verify_r33(n: int) -> bool:
     """Computational evidence for R(3,3) = 6 at a given n.
 
     n <= 5: exhibits the pentagon 2-coloring (restricted to n vertices) and
-    checks both classes are triangle-free. n = 6: scans all 2^15 edge
-    2-colorings of K_6 and confirms each one has a monochromatic triangle.
-    Returns True when the expected behavior is confirmed.
+    checks both classes are triangle-free. n = 6: scans every triangle-free
+    graph on 6 vertices and confirms its complement has a triangle, which
+    is the statement that each edge 2-coloring of K_6 has a monochromatic
+    triangle. Returns True when the expected behavior is confirmed.
     """
     if n > 6:
         raise ValueError("verify_r33 covers n <= 6 only")
     if n < 1:
         raise ValueError("n must be at least 1")
     if n <= 5:
-        classes = pentagon_coloring(n)
-        return all(not _has_triangle(from_edges(n, edges)) for edges in classes)
-    pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
-    index = {pair: i for i, pair in enumerate(pairs)}
-    triangles = []
-    for a, b, c in itertools.combinations(range(6), 3):
-        triangles.append((index[(a, b)], index[(a, c)], index[(b, c)]))
-    for mask in range(1 << 15):
-        mono = False
-        for i, j, k in triangles:
-            b0 = (mask >> i) & 1
-            if b0 == ((mask >> j) & 1) == ((mask >> k) & 1):
-                mono = True
-                break
-        if not mono:
-            return False  # a good coloring of K_6 would refute R(3,3) = 6
-    return True
-
-
-def _has_triangle(g: Graph) -> bool:
-    for u in range(g.n):
-        m = g.adj[u] >> (u + 1) << (u + 1)  # neighbors above u
-        while m:
-            low = m & -m
-            m ^= low
-            v = low.bit_length() - 1
-            if g.adj[u] & g.adj[v]:  # common neighbor closes a triangle
-                return True
-    return False
+        return not any(has_clique(from_edges(n, edges), 3) for edges in pentagon_coloring(n))
+    return all(has_clique(complement(g), 3) for g in enumerate_ktfree(6, 3))

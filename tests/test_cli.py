@@ -242,3 +242,13 @@ def test_threads_env_fallback(capsys, monkeypatch):
     code, data = payload(capsys, "nrec", "--s", "2", "--t", "3")
     assert code == 0
     assert data["value"] == pytest.approx(0.3819660112501051, abs=1e-9)
+
+
+def test_threads_env_not_an_integer_is_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("RAMSEY_THREADS", "abc")
+    with pytest.raises(SystemExit) as exc:
+        main(["nrec", "--s", "2", "--t", "3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--threads" in err
+    assert "Traceback" not in err

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from halfmult.bounds import multicolor_lower
 from halfmult.coloring import (
     ColoringCertificate,
     ConstructionFailure,
@@ -10,7 +11,6 @@ from halfmult.coloring import (
     construct_coloring,
     pair_index,
     sizing,
-    sizing_log2,
     verify_certificate,
 )
 from halfmult.errors import CertificateFormatError
@@ -164,7 +164,7 @@ def test_sizing_examples():
     assert sizing(4, 3, float(Fraction(23, 128))) == 4
     with pytest.raises(OverflowError):
         sizing(200, 2, 1.0)
-    assert sizing_log2(200, 2, 1.0) == pytest.approx(99.5)
+    assert multicolor_lower(200, 2, 1.0) == pytest.approx(99.5)
 
 
 def test_sizing_exact_floor_at_boundary():

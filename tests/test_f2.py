@@ -11,10 +11,9 @@ from halfmult.f2 import (
     f2_rank,
     f2_span,
     pack_bits,
-    symplectic_form,
     unpack_bits,
 )
-from halfmult.graphs import has_clique, independence_profile, max_clique_size
+from halfmult.graphs import find_clique, has_clique, independence_profile, max_clique_size
 
 
 def test_pack_unpack_roundtrip():
@@ -27,10 +26,10 @@ def test_pack_unpack_roundtrip():
 
 def test_symplectic_form_examples():
     sp = SymplecticSpace(2)
-    assert symplectic_form(pack_bits((1, 0)), pack_bits((0, 1)), sp) == 1
-    assert symplectic_form(pack_bits((0, 1)), pack_bits((1, 1)), sp) == 1
+    assert sp.form(pack_bits((1, 0)), pack_bits((0, 1))) == 1
+    assert sp.form(pack_bits((0, 1)), pack_bits((1, 1))) == 1
     for v in range(4):
-        assert symplectic_form(v, v, sp) == 0
+        assert sp.form(v, v) == 0
 
 
 def test_symplectic_space_validation():
@@ -108,6 +107,28 @@ def test_build_cf_graph_validation():
 @pytest.mark.parametrize("t", [4, 6, 8])
 def test_cf_graph_clique_free(t):
     assert not has_clique(build_cf_graph(t), t)
+
+
+@pytest.mark.parametrize("t", [4, 6, 8])
+def test_cf_graph_edges_are_the_form(t):
+    g = build_cf_graph(t)
+    form = SymplecticSpace(t - 2).form
+    for u in range(g.n):
+        for v in range(g.n):
+            assert g.has_edge(u, v) == form(u, v)
+
+
+def test_cf8_clique_witnesses_pinned():
+    g = build_cf_graph(8)
+    witnesses = {k: find_clique(g, k) for k in range(2, 8)}
+    assert witnesses == {
+        2: (16, 32),
+        3: (16, 32, 52),
+        4: (16, 32, 52, 56),
+        5: (16, 32, 52, 56, 61),
+        6: (16, 32, 52, 56, 61, 62),
+        7: (16, 32, 52, 56, 61, 62, 63),
+    }
 
 
 def test_count_isotropic_examples():

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from halfmult.errors import BudgetError
@@ -15,6 +16,7 @@ from halfmult.graphs import (
     has_clique,
     independence_profile,
     max_clique_size,
+    packed_adjacency,
     sample_er_graph,
     to_graph6,
 )
@@ -109,6 +111,16 @@ def test_clique_search_matches_oracle_n12():
     for seed in range(5):
         g = sample_er_graph(12, 0.5, seed)
         assert max_clique_size(g) == oracle_max_clique(g)
+
+
+def test_packed_adjacency_matches_edges():
+    for n, p, seed in [(1, 0.5, 0), (7, 0.5, 1), (8, 0.3, 2), (13, 0.6, 3)]:
+        g = sample_er_graph(n, p, seed)
+        packed = packed_adjacency(g)
+        assert packed.dtype == np.uint8 and packed.shape == (n, (n + 7) // 8)
+        for v in range(n):
+            for u in range(n):
+                assert (int(packed[v, u >> 3]) >> (u & 7)) & 1 == g.has_edge(v, u)
 
 
 def test_independence_profile_known_values():

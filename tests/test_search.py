@@ -10,7 +10,7 @@ from halfmult.bounds import (
     ramsey_upper_half,
 )
 from halfmult.errors import BudgetError
-from halfmult.graphs import complete, from_graph6, has_clique, to_graph6
+from halfmult.graphs import complement, complete, from_graph6, has_clique, to_graph6
 from halfmult.prob import exact_independence_prob
 from halfmult.search import (
     enumerate_ktfree,
@@ -21,6 +21,8 @@ from halfmult.search import (
     verify_r33,
 )
 
+from conftest import oracle_max_clique
+
 
 def test_enumerate_counts():
     assert sum(1 for _ in enumerate_ktfree(3, 3)) == 7  # all but K_3
@@ -28,6 +30,15 @@ def test_enumerate_counts():
     assert sum(1 for _ in enumerate_ktfree(4, 2)) == 1  # edgeless only
     for n in range(1, 6):
         assert sum(1 for _ in enumerate_ktfree(n, None)) == 2 ** (n * (n - 1) // 2)
+    assert sum(1 for _ in enumerate_ktfree(6, 3)) == 5789  # OEIS A006785
+
+
+def test_enumerate_matches_clique_oracle():
+    for n in range(1, 6):
+        everything = list(enumerate_ktfree(n, None))
+        for t in (2, 3, 4):
+            expected = sorted(g.adj for g in everything if oracle_max_clique(g) < t)
+            assert sorted(g.adj for g in enumerate_ktfree(n, t)) == expected
 
 
 def test_enumerate_yields_ktfree_graphs():
@@ -135,6 +146,8 @@ def test_verify_r33():
     assert verify_r33(4)
     assert verify_r33(5)
     assert verify_r33(6)
+    # the n = 6 scan is not vacuous: the same test fails below 6 vertices
+    assert any(not has_clique(complement(g), 3) for g in enumerate_ktfree(5, 3))
     with pytest.raises(ValueError):
         verify_r33(7)
 
