@@ -25,7 +25,7 @@ from .coloring import (
     ConstructionFailure,
     verify_certificate,
 )
-from .errors import BudgetError, CertificateFormatError, RamseyTableError
+from .errors import BudgetError, CertificateFormatError, FormatError, RamseyTableError
 from .f2 import build_cf_graph, count_isotropic_subspaces
 from .graphs import (
     find_clique,
@@ -83,10 +83,15 @@ def _load_graph(spec: str):
         return build_cf_graph(int(spec[3:])), spec
     try:
         with open(spec, encoding="ascii") as fh:
-            text = fh.read().strip().splitlines()[0]
-    except OSError as exc:
-        raise CertificateFormatError(f"cannot read graph file {spec}: {exc}") from None
-    return from_graph6(text), text
+            lines = fh.read().strip().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FormatError(f"cannot read graph file {spec}: {exc}") from None
+    if not lines:
+        raise FormatError(f"graph file {spec} is empty")
+    try:
+        return from_graph6(lines[0]), lines[0]
+    except ValueError as exc:
+        raise FormatError(f"graph file {spec} is not graph6: {exc}") from None
 
 
 def _ramsey_table(path: str | None) -> KnownRamseyTable:
@@ -269,7 +274,7 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.certificate, encoding="ascii") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CertificateFormatError(f"cannot read certificate: {exc}") from None
     cert = certificate_from_text(text)
     result = verify_certificate(cert)
@@ -409,8 +414,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args._argv = argv
     try:
-        return args.func(args)
-    except CertificateFormatError as exc:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`). Point it at devnull so that the
+        # flush at interpreter exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("io error: standard output was closed", file=sys.stderr)
+        return 2
+    except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, BudgetError, RamseyTableError, OverflowError) as exc:

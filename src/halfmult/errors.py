@@ -5,7 +5,11 @@ class BudgetError(RuntimeError):
     """An exact computation was asked to exceed its configured size budget."""
 
 
-class CertificateFormatError(ValueError):
+class FormatError(ValueError):
+    """An input file is unreadable or structurally malformed."""
+
+
+class CertificateFormatError(FormatError):
     """A coloring certificate is structurally malformed (bad header, length, or color range)."""
 
 

@@ -51,3 +51,49 @@ def oracle_independent_subset_counts(g: Graph, kmax: int) -> list[int]:
             if all(not g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
                 counts[k] += 1
     return counts
+
+
+def oracle_ktfree_graphs(n: int, t: int | None) -> list[Graph]:
+    """Labeled K_t-free graphs on n vertices, in pair-slot order.
+
+    The slots (0,1), (0,2), ..., (n-2,n-1) are decided in turn, edge absent
+    before edge present; an edge is refused when some (t-2)-subset of its
+    endpoints' common neighbours is a clique. t=None refuses nothing.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    adj = [0] * n
+    out = []
+
+    def closes_clique(u: int, v: int) -> bool:
+        if t is None:
+            return False
+        common = [w for w in range(n) if (adj[u] >> w) & (adj[v] >> w) & 1]
+        return any(
+            all((adj[a] >> b) & 1 for a, b in itertools.combinations(group, 2))
+            for group in itertools.combinations(common, t - 2)
+        )
+
+    def rec(i: int) -> None:
+        if i == len(pairs):
+            out.append(Graph(n, tuple(adj)))
+            return
+        u, v = pairs[i]
+        rec(i + 1)
+        if not closes_clique(u, v):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            rec(i + 1)
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
+
+    rec(0)
+    return out
+
+
+def oracle_isomorphism_key(g: Graph) -> tuple:
+    """The least sorted edge list over all relabelings of g."""
+    edges = [(u, v) for u, v in itertools.combinations(range(g.n), 2) if g.has_edge(u, v)]
+    return g.n, min(
+        tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
+        for p in itertools.permutations(range(g.n))
+    )

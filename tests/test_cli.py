@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import halfmult
 from halfmult.cli import main
 from halfmult.graphs import from_graph6
 
@@ -167,6 +172,50 @@ def test_verify_malformed_certificate_exits_2(capsys, tmp_path):
     bad.write_text("halfmult-certificate v1\nn: 6\nell: 2\n")
     code, _, err = run(capsys, "verify", str(bad))
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "content",
+    [b"garbage!!\n", b"", b"\n  \n", b"A\xe9\n"],
+    ids=["malformed-graph6", "empty", "blank", "not-ascii"],
+)
+def test_bad_graph_file_exits_2(capsys, tmp_path, content):
+    bad = tmp_path / "bad.g6"
+    bad.write_bytes(content)
+    for argv in (["exact", "--in", str(bad), "--s", "2"], ["graph", "clique", "--in", str(bad), "--t", "3"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "format error" in err
+
+
+def test_non_ascii_certificate_exits_2(capsys, tmp_path):
+    bad = tmp_path / "cert.txt"
+    bad.write_bytes(b"halfmult-certificate v1\n\xff\n")
+    code, _, err = run(capsys, "verify", str(bad))
+    assert code == 2
+    assert "format error" in err
+
+
+def test_closed_stdout_exits_2_without_traceback():
+    src = str(Path(halfmult.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "halfmult.cli", "nrec", "--s", "2", "--t", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 def test_search_command(capsys, tmp_path):

@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from halfmult.errors import BudgetError
 from halfmult.graphs import complete, cycle, edgeless, from_edges, sample_er_graph
 from halfmult.prob import exact_independence_prob, mc_independence_prob, stirling2
+from halfmult.rng import make_rng
 
 from conftest import oracle_independence_prob
 
@@ -131,6 +133,20 @@ def test_mc_calibration_sample():
         if abs(est.estimate - exact) > 4 * est.std_error:
             misses += 1
     assert misses <= 1
+
+
+def test_mc_chunking_keeps_the_draw_order():
+    # three chunks of 65536 trials, the last one partial: the hits must be
+    # those of one unchunked draw from the same seed
+    g = from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3)])
+    trials, s, seed = 65536 * 2 + 37, 3, 2024
+    samples = make_rng(seed).integers(0, g.n, size=(trials, s))
+    bad = np.zeros(trials, dtype=bool)
+    for i in range(s):
+        for j in range(i + 1, s):
+            bad |= [g.has_edge(u, v) for u, v in zip(samples[:, i].tolist(), samples[:, j].tolist())]
+    est = mc_independence_prob(g, s, trials, seed)
+    assert est.estimate == (trials - int(bad.sum())) / trials
 
 
 def test_mc_validates_input():

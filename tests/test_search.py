@@ -21,7 +21,12 @@ from halfmult.search import (
     verify_r33,
 )
 
-from conftest import oracle_max_clique
+from conftest import (
+    oracle_independence_prob,
+    oracle_isomorphism_key,
+    oracle_ktfree_graphs,
+    oracle_max_clique,
+)
 
 
 def test_enumerate_counts():
@@ -31,6 +36,7 @@ def test_enumerate_counts():
     for n in range(1, 6):
         assert sum(1 for _ in enumerate_ktfree(n, None)) == 2 ** (n * (n - 1) // 2)
     assert sum(1 for _ in enumerate_ktfree(6, 3)) == 5789  # OEIS A006785
+    assert sum(1 for _ in enumerate_ktfree(7, 3)) == 133501
 
 
 def test_enumerate_matches_clique_oracle():
@@ -39,6 +45,14 @@ def test_enumerate_matches_clique_oracle():
         for t in (2, 3, 4):
             expected = sorted(g.adj for g in everything if oracle_max_clique(g) < t)
             assert sorted(g.adj for g in enumerate_ktfree(n, t)) == expected
+
+
+def test_enumerate_matches_pair_slot_oracle():
+    for n in range(1, 7):
+        for t in (2, 3, 4, 5, None):
+            grown = [g.adj for g in enumerate_ktfree(n, t)]
+            assert len(grown) == len(set(grown))
+            assert set(grown) == {g.adj for g in oracle_ktfree_graphs(n, t)}
 
 
 def test_enumerate_yields_ktfree_graphs():
@@ -90,6 +104,50 @@ def test_min_independence_dedup_iso():
     assert len(full.witnesses) == 4
     assert len(deduped.witnesses) == 2
     assert deduped.min_prob == full.min_prob
+
+
+def _brute_force_min(scored, n_max, dedup_iso, keys):
+    """min_independence_prob's result from (probability, graph) pairs in
+    pair-slot order: witnesses on at most n_max vertices, and with dedup_iso
+    the first of each isomorphism class; keys caches the class keys."""
+    scored = [(p, g) for p, g in scored if g.n <= n_max]
+    best = min(p for p, _ in scored)
+    witnesses = [g for p, g in scored if p == best]
+    if dedup_iso:
+        firsts = {}
+        for g in witnesses:
+            if g.adj not in keys:
+                keys[g.adj] = oracle_isomorphism_key(g)
+            firsts.setdefault(keys[g.adj], g)
+        witnesses = list(firsts.values())
+    return best, tuple(sorted(to_graph6(g) for g in witnesses)), len(scored)
+
+
+def test_min_independence_matches_brute_force():
+    keys = {}
+    for t in range(2, 6):
+        graphs = [g for n in range(1, 6) for g in oracle_ktfree_graphs(n, t)]
+        for s in range(1, 5):
+            scored = [(oracle_independence_prob(g, s), g) for g in graphs]
+            for n_max in range(1, 6):
+                for dedup_iso in (False, True):
+                    r = min_independence_prob(s, t, n_max, dedup_iso=dedup_iso)
+                    expected = _brute_force_min(scored, n_max, dedup_iso, keys)
+                    assert (r.min_prob, r.witnesses, r.graphs_scanned) == expected, (s, t, n_max, dedup_iso)
+
+
+def test_min_independence_exact_for_large_s():
+    # 6^25 exceeds int64, so n_max = 6 takes the big-integer path and 5 does not
+    scored = [(exact_independence_prob(g, 25), g) for n in range(1, 7) for g in oracle_ktfree_graphs(n, 3)]
+    for n_max in (5, 6):
+        r = min_independence_prob(25, 3, n_max)
+        assert (r.min_prob, r.witnesses, r.graphs_scanned) == _brute_force_min(scored, n_max, False, {})
+
+
+def test_min_independence_counts_past_one_byte():
+    # t = 2 leaves only the edgeless graphs, whose subset counts reach C(11,5) = 462
+    r = min_independence_prob(8, 2, 12, budget=12)
+    assert (r.min_prob, r.graphs_scanned) == (1, 12)
 
 
 def test_min_respects_neighborhood_lower_bound():
