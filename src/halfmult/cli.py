@@ -80,7 +80,11 @@ def _emit(args, payload: dict) -> None:
 
 def _load_graph(spec: str):
     if spec.startswith("cf:"):
-        return build_cf_graph(int(spec[3:])), spec
+        try:
+            t = int(spec[3:])
+        except ValueError:
+            raise FormatError(f"graph spec {spec!r} needs an integer after cf:") from None
+        return build_cf_graph(t), spec
     try:
         with open(spec, encoding="ascii") as fh:
             lines = fh.read().strip().splitlines()
@@ -104,7 +108,10 @@ def _ramsey_table(path: str | None) -> KnownRamseyTable:
 def _parse_prob(text: str):
     if "/" in text:
         num, _, den = text.partition("/")
-        return Fraction(int(num), int(den))
+        try:
+            return Fraction(int(num), int(den))
+        except ZeroDivisionError:
+            raise FormatError(f"--p-value {text} has a zero denominator") from None
     return float(text)
 
 
@@ -208,6 +215,8 @@ def _cmd_optimize_p(args) -> int:
         if args.s is None or args.t is None:
             raise ValueError("provide --s and --t, or --s-equals-t")
         s, t = args.s, args.t
+        if s < 1 or t < 1:
+            raise ValueError(f"--s and --t must be positive, got s={s}, t={t}")
     p_star, value = optimize_p(s, t, args.tol)
     payload = {
         "s": s,
@@ -425,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"io error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, BudgetError, RamseyTableError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)

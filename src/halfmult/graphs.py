@@ -104,11 +104,15 @@ def sample_er_graph(n: int, p: float, seed: int) -> Graph:
     return Graph(n, tuple(adj))
 
 
+def _pack(rows, width: int) -> np.ndarray:
+    """Bitset rows as a (len(rows), width) uint8 array, little-endian in bits and bytes."""
+    data = b"".join(row.to_bytes(width, "little") for row in rows)
+    return np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
+
+
 def packed_adjacency(g: Graph) -> np.ndarray:
     """Adjacency as an (n, ceil(n/8)) uint8 array: row v, byte u >> 3, bit u & 7."""
-    width = (g.n + 7) // 8
-    rows = b"".join(row.to_bytes(width, "little") for row in g.adj)
-    return np.frombuffer(rows, dtype=np.uint8).reshape(g.n, width)
+    return _pack(g.adj, (g.n + 7) // 8)
 
 
 # ---------------------------------------------------------------------------
@@ -244,25 +248,60 @@ class IndependenceProfile:
         return self.counts[k]
 
 
-def _count_cliques_by_size(adj: tuple[int, ...], full: int, kmax: int) -> list[int]:
-    counts = [0] * (kmax + 1)
-    counts[0] = 1
+# Children per step of the counting kernel. A step holds about 100 bytes per
+# child for n <= 64, and a pending block per level, so a few MB in all.
+_BLOCK_CHILDREN = 1 << 15
 
-    def rec(cand: int, size: int) -> None:
-        nxt = size + 1
-        c = cand
-        while c:
-            low = c & -c
-            c ^= low
-            v = low.bit_length() - 1
-            counts[nxt] += 1
-            if nxt < kmax:
-                sub = c & adj[v]
-                if sub:
-                    rec(sub, nxt)
+_M1, _M2, _M4, _H01 = (
+    np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
+)
 
-    if kmax >= 1 and full:
-        rec(full, 0)
+
+def _popcounts(rows: np.ndarray) -> np.ndarray:
+    """Set bits per row of an (m, w) uint64 array: the SWAR word popcount,
+    which needs no np.bitwise_count (numpy >= 2 only)."""
+    x = rows - ((rows >> np.uint64(1)) & _M1)
+    x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
+    x = (x + (x >> np.uint64(4))) & _M4
+    return ((x * _H01) >> np.uint64(56)).sum(axis=1, dtype=np.int64)
+
+
+def _count_cliques_by_size(adj: tuple[int, ...], n: int, kmax: int) -> list[int]:
+    """counts[k] = number of k-cliques for k = 0..kmax, as Python ints.
+
+    A clique on k vertices is a row of ceil(n/64) words holding its
+    candidates: the vertices above its last vertex adjacent to all of it.
+    Its children are the pairs (row, v) for v a candidate, with candidates
+    row & above[v], so a row's child count is its popcount and the last
+    level is counted without being built. Rows run depth-first in blocks
+    of about _BLOCK_CHILDREN children, which bounds memory whatever n and
+    kmax are.
+    """
+    counts = [1] + [0] * kmax
+    if kmax == 0 or n == 0:
+        return counts
+    w = (n + 63) // 64
+    above = _pack([row >> (v + 1) << (v + 1) for v, row in enumerate(adj)], 8 * w).view("<u8")
+    root = _pack([(1 << n) - 1], 8 * w).view("<u8")
+    pending = [(0, root, np.array([n]))]  # (level, rows, their popcounts), all rows non-empty
+    while pending:
+        level, rows, sizes = pending.pop()
+        take = max(1, int(np.searchsorted(np.cumsum(sizes), _BLOCK_CHILDREN, side="right")))
+        if take < len(rows):
+            pending.append((level, rows[take:], sizes[take:]))
+        bits = np.unpackbits(rows[:take].view(np.uint8), axis=1, count=n, bitorder="little")
+        parent, v = np.divmod(np.flatnonzero(bits.view(bool)), n)
+        counts[level + 1] += len(v)
+        if level + 1 == kmax:
+            continue
+        children = rows[parent] & above[v]
+        sizes = _popcounts(children)
+        if level + 2 == kmax:
+            counts[kmax] += int(sizes.sum())
+            continue
+        keep = sizes > 0
+        if keep.any():
+            pending.append((level + 1, children[keep], sizes[keep]))
     return counts
 
 
@@ -280,7 +319,7 @@ def independence_profile(g: Graph, s_max: int, *, budget: int = EXACT_COUNT_BUDG
             "use mc_independence_prob instead"
         )
     co = complement(g)
-    counts = _count_cliques_by_size(co.adj, (1 << g.n) - 1, s_max)
+    counts = _count_cliques_by_size(co.adj, g.n, s_max)
     return IndependenceProfile(tuple(counts))
 
 

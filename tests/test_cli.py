@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import halfmult
 from halfmult.cli import main
@@ -189,6 +192,38 @@ def test_bad_graph_file_exits_2(capsys, tmp_path, content):
         assert "format error" in err
 
 
+@pytest.mark.parametrize("spec", ["cf:abc", "cf:"])
+def test_cf_spec_without_integer_exits_2(capsys, spec):
+    code, out, err = run(capsys, "exact", "--in", spec, "--s", "2")
+    assert code == 2
+    assert out == ""
+    assert "format error" in err and "cf:" in err
+
+
+def test_cf_spec_with_odd_t_is_domain_error(capsys):
+    code, _, err = run(capsys, "exact", "--in", "cf:5", "--s", "2")
+    assert code == 1
+    assert "even" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["bounds", "--s", "3", "--t", "3", "--ell", "3", "--p-value", "1/0"], 2),
+        (["bounds", "--s", "3", "--t", "3", "--ramsey-table", "{missing}"], 2),
+        (["cf", "--t", "4", "--out", "{missing}/cf4.g6"], 2),
+        (["optimize-p", "--s", "2", "--t", "0"], 1),
+    ],
+    ids=["p-value-zero-denominator", "missing-ramsey-table", "unwritable-out", "t-zero"],
+)
+def test_bad_inputs_exit_cleanly(capsys, tmp_path, argv, expected):
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == expected
+    assert out == ""
+    assert "Traceback" not in err and err.startswith(("format error", "io error", "error"))
+
+
 def test_non_ascii_certificate_exits_2(capsys, tmp_path):
     bad = tmp_path / "cert.txt"
     bad.write_bytes(b"halfmult-certificate v1\n\xff\n")
@@ -301,3 +336,65 @@ def test_threads_env_not_an_integer_is_usage_error(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "usage:" in err and "--threads" in err
     assert "Traceback" not in err
+
+
+# Small or malformed values only: every valid combination must finish in
+# milliseconds, so no size here may reach a budget-sized computation.
+_FUZZ_INTS = st.sampled_from(["-3", "0", "1", "2", "3", "4", "abc", "", "2.5", "1e3"])
+_FUZZ_PROBS = st.sampled_from(["1/0", "1/27", "0/1", "-1/2", "0.5", "2", "x", "/", "1/", "nan"])
+_FUZZ_CF = st.sampled_from(["cf:", "cf:abc", "cf:4", "cf:5", "cf:6", "cf:-2", "cf:4.0", "cf:0x4"])
+_FUZZ_COMMANDS = [
+    ["cf", "--t", "I"],
+    ["cf", "--t", "I", "--count-isotropic", "I"],
+    ["graph", "sample", "--n", "I", "--p", "0.5", "--seed", "I"],
+    ["graph", "clique", "--in", "G", "--t", "I"],
+    ["exact", "--in", "G", "--s", "I"],
+    ["estimate", "--in", "G", "--s", "I", "--trials", "I", "--seed", "I"],
+    ["bounds", "--s", "I", "--t", "I"],
+    ["bounds", "--s", "I", "--t", "I", "--ell", "I"],
+    ["bounds", "--s", "I", "--t", "I", "--ell", "I", "--p-value", "P"],
+    ["bounds", "--s", "I", "--t", "I", "--ramsey-table", "F"],
+    ["optimize-p", "--s", "I", "--t", "I"],
+    ["nrec", "--s", "I", "--t", "I"],
+    ["color", "--ell", "I", "--t", "I", "--n", "I", "--graph", "G", "--seed", "I", "--attempts", "I"],
+    ["verify", "F"],
+    ["search", "--s", "I", "--t", "I", "--max-n", "I"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    files = {"missing": root / "missing.g6"}
+    for name, content in {"empty": b"", "blank": b"\n \n", "junk": b"garbage!!\n", "path4": b"Ch\n"}.items():
+        files[name] = root / f"{name}.g6"
+        files[name].write_bytes(content)
+    return {name: str(path) for name, path in files.items()}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_fuzz_exit_codes_and_no_traceback(fuzz_files, data):
+    template = data.draw(st.sampled_from(_FUZZ_COMMANDS))
+    paths = st.sampled_from(sorted(fuzz_files.values()))
+    argv = []
+    for token in template:
+        if token == "I":
+            token = data.draw(_FUZZ_INTS)
+        elif token == "P":
+            token = data.draw(_FUZZ_PROBS)
+        elif token == "G":
+            token = data.draw(st.one_of(_FUZZ_CF, paths))
+        elif token == "F":
+            token = data.draw(paths)
+        argv.append(token)
+    if data.draw(st.booleans()):
+        argv.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

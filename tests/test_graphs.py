@@ -1,8 +1,10 @@
+import math
 import random
 
 import numpy as np
 import pytest
 
+from halfmult import graphs
 from halfmult.errors import BudgetError
 from halfmult.graphs import (
     Graph,
@@ -140,6 +142,49 @@ def test_independence_profile_matches_subset_oracle():
         assert list(independence_profile(g, kmax).counts) == oracle_independent_subset_counts(g, kmax)
 
 
+def _random_graph(n: int, p: float, seed: int) -> Graph:
+    return sample_er_graph(n, p, seed) if n else edgeless(0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 63, 64, 65])
+def test_counting_kernel_matches_oracle_across_word_sizes(n):
+    # n = 63, 64, 65 straddle the one-word/two-word boundary of the rows
+    kmax = n + 1 if n <= 7 else 3
+    for seed, p in enumerate((0.15, 0.5, 0.85)):
+        g = _random_graph(n, p, 1000 * n + seed)
+        prof = independence_profile(g, kmax, budget=65)
+        assert list(prof.counts) == oracle_independent_subset_counts(g, kmax)
+        assert all(type(c) is int for c in prof.counts)
+
+
+@pytest.mark.parametrize("n", [0, 1, 10, 64, 65, 130])
+def test_counting_kernel_edgeless_and_complete(n):
+    kmax = min(n + 2, 4)
+    assert independence_profile(edgeless(n), kmax, budget=130).counts == tuple(
+        math.comb(n, k) for k in range(kmax + 1)
+    )
+    assert independence_profile(complete(n), kmax, budget=130).counts == tuple(
+        (1, n)[k] if k < 2 else 0 for k in range(kmax + 1)
+    )
+
+
+def test_counting_kernel_small_kmax():
+    g = sample_er_graph(12, 0.4, 3)
+    assert independence_profile(g, 0).counts == (1,)
+    assert independence_profile(g, 1).counts == (1, 12)
+    full = independence_profile(g, 20).counts
+    assert full[:13] == tuple(oracle_independent_subset_counts(g, 12))
+    assert full[13:] == (0,) * 8
+
+
+def test_counting_kernel_in_blocks_of_one_row(monkeypatch):
+    # one row per block: every split and pending remainder path runs
+    monkeypatch.setattr(graphs, "_BLOCK_CHILDREN", 1)
+    for n, kmax, seed in ((9, 9, 1), (20, 6, 2), (65, 3, 3)):
+        g = sample_er_graph(n, 0.3, seed)
+        assert list(independence_profile(g, kmax, budget=65).counts) == oracle_independent_subset_counts(g, kmax)
+
+
 def test_independence_profile_hereditary_and_budget():
     g = sample_er_graph(10, 0.6, 5)
     prof = independence_profile(g, 10)
@@ -151,8 +196,6 @@ def test_independence_profile_hereditary_and_budget():
             seen_zero = True
         if seen_zero:
             assert prof[k] == 0
-    import math
-
     for k in range(6):
         assert independence_profile(edgeless(5), 5)[k] == math.comb(5, k)
     with pytest.raises(BudgetError):
