@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, log
 
-from .errors import RamseyTableError
+from .errors import FormatError, RamseyTableError
 
 LN2 = math.log(2.0)
 # ln(3*sqrt(3)/2): exponential rate of the diagonal binomial bound.
@@ -289,16 +289,23 @@ class KnownRamseyTable:
 
     def load_tsv(self, path) -> None:
         """Merge entries from TSV lines "s <TAB> t <TAB> R <TAB> source"."""
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) < 4:
-                    raise ValueError(f"{path}:{lineno}: expected 4 tab-separated fields")
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8: {exc}") from None
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) < 4:
+                raise FormatError(f"{path}:{lineno}: expected 4 tab-separated fields")
+            try:
                 s, t, value = int(parts[0]), int(parts[1]), int(parts[2])
-                self.add(s, t, value, parts[3])
+            except ValueError:
+                raise FormatError(f"{path}:{lineno}: s, t and R must be integers") from None
+            self.add(s, t, value, parts[3])
 
 
 def ramsey_lower_half(s: int, t: int, table: KnownRamseyTable) -> Fraction:

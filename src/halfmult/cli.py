@@ -332,12 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"halfmult {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=os.environ.get("RAMSEY_THREADS", "1"),
-        help="accepted, but no computation is parallel yet, so it has no effect",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("cf", parents=[common], help="build the symplectic graph")

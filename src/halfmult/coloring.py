@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CertificateFormatError
 from .bounds import multicolor_lower
-from .graphs import Graph, find_clique, from_edges, has_clique, packed_adjacency
+from .graphs import Graph, find_clique, from_pairs, has_clique, packed_adjacency
 from .rng import make_rng
 
 _MAGIC = "halfmult-certificate v1"
@@ -60,14 +60,7 @@ class ColoringCertificate:
 
     def color_class(self, c: int) -> Graph:
         """The graph formed by edges of color c."""
-        edges = []
-        i = 0
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                if self.colors[i] == c:
-                    edges.append((u, v))
-                i += 1
-        return from_edges(self.n, edges)
+        return from_pairs(self.n, np.array(self.colors) == c)
 
     def to_text(self) -> str:
         return (
@@ -136,16 +129,21 @@ class VerifyResult:
     witness: tuple[int, ...] | None = None
 
 
+def _verify_classes(colors: np.ndarray, n: int, ell: int, t: int) -> VerifyResult:
+    """Check the classes 1..ell of the pair array colors for a K_t, in order."""
+    for c in range(1, ell + 1):
+        witness = find_clique(from_pairs(n, colors == c), t)
+        if witness is not None:
+            return VerifyResult(valid=False, violating_color=c, witness=witness)
+    return VerifyResult(valid=True)
+
+
 def verify_certificate(cert: ColoringCertificate) -> VerifyResult:
     """Check every color class for a K_t, independently of how the
     certificate was produced. Returns the first violating color and a
     clique witness on failure."""
     _check_shape(cert)
-    for c in range(1, cert.ell + 1):
-        witness = find_clique(cert.color_class(c), cert.t)
-        if witness is not None:
-            return VerifyResult(valid=False, violating_color=c, witness=witness)
-    return VerifyResult(valid=True)
+    return _verify_classes(np.array(cert.colors), cert.n, cert.ell, cert.t)
 
 
 @dataclass(frozen=True)
@@ -220,18 +218,17 @@ def construct_coloring(
         tail = int(remaining.sum())
         bits = rng.integers(0, 2, size=tail)
         colors[remaining] = (ell - 1) + bits
-        cert = ColoringCertificate(
-            n=n,
-            ell=ell,
-            t=t,
-            colors=tuple(int(c) for c in colors),
-            base_graph=base_label,
-            seed=seed,
-            attempts_used=attempt + 1,
-        )
-        result = verify_certificate(cert)
+        result = _verify_classes(colors, n, ell, t)
         if result.valid:
-            return cert
+            return ColoringCertificate(
+                n=n,
+                ell=ell,
+                t=t,
+                colors=tuple(colors.tolist()),
+                base_graph=base_label,
+                seed=seed,
+                attempts_used=attempt + 1,
+            )
         violations.append((attempt, result.violating_color, result.witness))
     return ConstructionFailure(
         n=n, ell=ell, t=t, seed=seed, attempts=max_attempts, violations=tuple(violations)

@@ -81,6 +81,16 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
+def from_pairs(n: int, mask) -> Graph:
+    """The graph whose edges are the set entries of mask, a bool vector over
+    the pairs (0,1), (0,2), ..., (n-2,n-1) in that order; the inverse of _pack."""
+    dense = np.zeros((n, n), dtype=bool)
+    dense[~np.tri(n, dtype=bool)] = mask  # a bool index fills row-major: the pair order
+    dense |= dense.T
+    rows = np.packbits(dense, axis=1, bitorder="little")
+    return Graph(n, tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
+
+
 def sample_er_graph(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n,p), reproducible for fixed (n, p, seed).
 
@@ -93,15 +103,7 @@ def sample_er_graph(n: int, p: float, seed: int) -> Graph:
         raise ValueError("n must be at least 1")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
-    rng = make_rng(seed)
-    adj = [0] * n
-    for u in range(n - 1):
-        draws = rng.random(n - 1 - u)
-        for off in np.nonzero(draws < p)[0]:
-            v = u + 1 + int(off)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+    return from_pairs(n, make_rng(seed).random(n * (n - 1) // 2) < p)
 
 
 def _pack(rows, width: int) -> np.ndarray:

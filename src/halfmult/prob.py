@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetError
 from .graphs import EXACT_COUNT_BUDGET, Graph, independence_profile, packed_adjacency
 from .rng import make_rng
 
@@ -48,11 +47,6 @@ def exact_independence_prob(g: Graph, s: int, *, budget: int = EXACT_COUNT_BUDGE
     """
     if s < 1:
         raise ValueError("s must be at least 1")
-    if g.n > budget:
-        raise BudgetError(
-            f"exact computation is limited to n <= {budget} (got n={g.n}); "
-            "use mc_independence_prob instead"
-        )
     profile = independence_profile(g, min(s, g.n), budget=budget)
     total = 0
     for k in range(1, profile.s_max + 1):

@@ -97,3 +97,16 @@ def oracle_isomorphism_key(g: Graph) -> tuple:
         tuple(sorted((min(p[u], p[v]), max(p[u], p[v])) for u, v in edges))
         for p in itertools.permutations(range(g.n))
     )
+
+
+def oracle_color_class(cert, c: int) -> Graph:
+    """The graph of color c, by walking the pairs of the certificate in order."""
+    adj = [0] * cert.n
+    i = 0
+    for u in range(cert.n):
+        for v in range(u + 1, cert.n):
+            if cert.colors[i] == c:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            i += 1
+    return Graph(cert.n, tuple(adj))

@@ -213,11 +213,26 @@ def test_cf_spec_with_odd_t_is_domain_error(capsys):
         (["bounds", "--s", "3", "--t", "3", "--ramsey-table", "{missing}"], 2),
         (["cf", "--t", "4", "--out", "{missing}/cf4.g6"], 2),
         (["optimize-p", "--s", "2", "--t", "0"], 1),
+        (["bounds", "--s", "4", "--t", "4", "--ramsey-table", "{short}"], 2),
+        (["bounds", "--s", "4", "--t", "4", "--ramsey-table", "{not_int}"], 2),
+        (["bounds", "--s", "4", "--t", "4", "--ramsey-table", "{not_utf8}"], 2),
     ],
-    ids=["p-value-zero-denominator", "missing-ramsey-table", "unwritable-out", "t-zero"],
+    ids=[
+        "p-value-zero-denominator",
+        "missing-ramsey-table",
+        "unwritable-out",
+        "t-zero",
+        "ramsey-table-three-fields",
+        "ramsey-table-non-integer",
+        "ramsey-table-not-utf8",
+    ],
 )
 def test_bad_inputs_exit_cleanly(capsys, tmp_path, argv, expected):
-    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    tables = {"short": b"4\t4\t18\n", "not_int": b"4\t4\tx\tsurvey\n", "not_utf8": b"4\t4\t18\t\xff\n"}
+    for name, content in tables.items():
+        (tmp_path / f"{name}.tsv").write_bytes(content)
+    files = {name: tmp_path / f"{name}.tsv" for name in tables}
+    argv = [a.format(missing=tmp_path / "missing", **files) for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == expected
     assert out == ""
@@ -306,32 +321,15 @@ def test_rerun_is_byte_identical_modulo_timestamp(capsys):
     assert _strip_timestamp(out3) == _strip_timestamp(out4)
 
 
-def test_threads_flag_accepted_and_neutral(capsys):
-    _, d1 = payload(capsys, "estimate", "--in", "cf:4", "--s", "3", "--trials", "10000", "--seed", "5")
-    _, d2 = payload(
-        capsys, "estimate", "--in", "cf:4", "--s", "3", "--trials", "10000", "--seed", "5",
-        "--threads", "8",
-    )
-    assert d1["estimate"] == d2["estimate"]
-
-
 def test_search_flags_proven_exact_minimum(capsys):
     code, data = payload(capsys, "search", "--s", "2", "--t", "3", "--max-n", "4")
     assert code == 0
     assert "exact" in data.get("note", "")
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("RAMSEY_THREADS", "4")
-    code, data = payload(capsys, "nrec", "--s", "2", "--t", "3")
-    assert code == 0
-    assert data["value"] == pytest.approx(0.3819660112501051, abs=1e-9)
-
-
-def test_threads_env_not_an_integer_is_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("RAMSEY_THREADS", "abc")
+def test_threads_flag_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["nrec", "--s", "2", "--t", "3"])
+        main(["nrec", "--s", "2", "--t", "3", "--threads", "8"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "--threads" in err

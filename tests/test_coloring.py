@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -17,6 +18,8 @@ from halfmult.errors import CertificateFormatError
 from halfmult.f2 import build_cf_graph
 from halfmult.graphs import complete, has_clique
 from halfmult.search import pentagon_coloring
+
+from conftest import oracle_color_class
 
 
 def _pentagon_certificate() -> ColoringCertificate:
@@ -102,6 +105,34 @@ def test_failure_path_never_blames_pullback_classes():
     assert isinstance(failure, ConstructionFailure)
     for _, color, _ in failure.violations:
         assert color >= 2  # never the map-defined class
+    # (attempt, color, witness) of every rejected attempt, pinned
+    assert failure.violations == (
+        (0, 2, (1, 8, 11)),
+        (1, 2, (2, 6, 12)),
+        (2, 2, (3, 4, 6)),
+        (3, 2, (7, 11, 12)),
+        (4, 2, (3, 4, 15)),
+    )
+
+
+def test_cf6_certificate_text_is_pinned():
+    # attempt 0 is rejected and attempt 1 accepted; the digest pins the
+    # accepted certificate's text byte for byte
+    cert = construct_coloring(build_cf_graph(6), 3, 6, 28, 5, 50, base_label="cf:6")
+    assert isinstance(cert, ColoringCertificate)
+    assert cert.attempts_used == 2
+    digest = hashlib.sha256(cert.to_text().encode()).hexdigest()
+    assert digest == "f438da09e024125be0a9069f36927a6468acab498d2a5d5ca25c354123759f06"
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 65])
+def test_color_class_matches_pair_walk(n):
+    rng = random.Random(n)
+    ell = 4
+    colors = tuple(rng.randint(1, ell) for _ in range(n * (n - 1) // 2))
+    cert = ColoringCertificate(n, ell, 3, colors, "none", 0, 0)
+    for c in range(ell + 2):
+        assert cert.color_class(c) == oracle_color_class(cert, c)
 
 
 def test_pentagon_certificate_valid_for_t3():

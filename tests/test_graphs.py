@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -15,6 +16,7 @@ from halfmult.graphs import (
     find_clique,
     from_edges,
     from_graph6,
+    from_pairs,
     has_clique,
     independence_profile,
     max_clique_size,
@@ -66,6 +68,38 @@ def test_sample_er_graph_deterministic_and_symmetric():
     assert a == b
     a.validate()
     assert a != sample_er_graph(25, 0.37, 1000)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 64, 65, 130])
+def test_from_pairs_matches_from_edges(n):
+    rng = np.random.default_rng(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for density in (0.0, 0.3, 1.0):
+        mask = rng.random(len(pairs)) < density
+        g = from_pairs(n, mask)
+        assert g == from_edges(n, [uv for uv, bit in zip(pairs, mask) if bit])
+        g.validate()
+
+
+# (n, p, seed) -> graph6 of the sample, or its sha256 where the string is
+# long; these pin the draw order of one uniform per pair.
+_ER_GRAPH6 = {
+    (1, 0.5, 0): "@",
+    (2, 0.5, 1): "A_",
+    (2, 0.5, 3): "A?",
+    (9, 0.3, 7): "HWIGcSY",
+    (9, 0.5, 11): "HiXujJi",
+    (65, 0.1, 3): "dfd621936cc9f95c6cd3380affe9699c8df87c59e148b162ef6a819a5fe2d580",
+    (65, 0.5, 2024): "10922d4c7e06d9be8c5bcfb9e15bc1e6900b172b7b9ad142c8ad82f927afdacc",
+}
+
+
+@pytest.mark.parametrize("n, p, seed", sorted(_ER_GRAPH6))
+def test_sample_er_graph_pinned(n, p, seed):
+    g6 = to_graph6(sample_er_graph(n, p, seed))
+    if n > 9:
+        g6 = hashlib.sha256(g6.encode()).hexdigest()
+    assert g6 == _ER_GRAPH6[(n, p, seed)]
 
 
 def test_sample_er_graph_edge_count_statistics():
