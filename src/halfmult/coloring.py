@@ -129,9 +129,10 @@ class VerifyResult:
     witness: tuple[int, ...] | None = None
 
 
-def _verify_classes(colors: np.ndarray, n: int, ell: int, t: int) -> VerifyResult:
-    """Check the classes 1..ell of the pair array colors for a K_t, in order."""
-    for c in range(1, ell + 1):
+def _verify_classes(colors: np.ndarray, n: int, t: int, palette) -> VerifyResult:
+    """Check the class of each colour in palette, in order, for a K_t;
+    colors is the pair array."""
+    for c in palette:
         witness = find_clique(from_pairs(n, colors == c), t)
         if witness is not None:
             return VerifyResult(valid=False, violating_color=c, witness=witness)
@@ -139,11 +140,12 @@ def _verify_classes(colors: np.ndarray, n: int, ell: int, t: int) -> VerifyResul
 
 
 def verify_certificate(cert: ColoringCertificate) -> VerifyResult:
-    """Check every color class for a K_t, independently of how the
-    certificate was produced. Returns the first violating color and a
-    clique witness on failure."""
+    """Check the class of every color in the array for a K_t, independently
+    of how the certificate was produced. Returns the first violating color
+    and a clique witness on failure."""
     _check_shape(cert)
-    return _verify_classes(np.array(cert.colors), cert.n, cert.ell, cert.t)
+    # an absent colour has an edgeless class, which holds no K_t for t >= 2
+    return _verify_classes(np.array(cert.colors), cert.n, cert.t, sorted(set(cert.colors)))
 
 
 @dataclass(frozen=True)
@@ -218,7 +220,7 @@ def construct_coloring(
         tail = int(remaining.sum())
         bits = rng.integers(0, 2, size=tail)
         colors[remaining] = (ell - 1) + bits
-        result = _verify_classes(colors, n, ell, t)
+        result = _verify_classes(colors, n, t, range(1, ell + 1))
         if result.valid:
             return ColoringCertificate(
                 n=n,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BudgetError
-from .graphs import Graph
+from .graphs import Graph, f2_rank  # f2_rank: the one elimination, shared with the clique proofs
 
 GRAPH_VERTEX_BUDGET = 1 << 14
 ENUMERATION_T_BUDGET = 10
@@ -60,18 +60,6 @@ class SymplecticSpace:
         self.check_vector(u)
         self.check_vector(v)
         return (_swap_pairs(u, self.dim) & v).bit_count() & 1
-
-
-def f2_rank(vectors: list[int]) -> int:
-    """Rank of the span over F2, by Gaussian elimination on int bitsets."""
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
 
 
 def f2_span(basis) -> list[int]:

@@ -87,8 +87,7 @@ def from_pairs(n: int, mask) -> Graph:
     dense = np.zeros((n, n), dtype=bool)
     dense[~np.tri(n, dtype=bool)] = mask  # a bool index fills row-major: the pair order
     dense |= dense.T
-    rows = np.packbits(dense, axis=1, bitorder="little")
-    return Graph(n, tuple(int.from_bytes(row.tobytes(), "little") for row in rows))
+    return Graph(n, _rows_of(dense))
 
 
 def sample_er_graph(n: int, p: float, seed: int) -> Graph:
@@ -115,6 +114,29 @@ def _pack(rows, width: int) -> np.ndarray:
 def packed_adjacency(g: Graph) -> np.ndarray:
     """Adjacency as an (n, ceil(n/8)) uint8 array: row v, byte u >> 3, bit u & 7."""
     return _pack(g.adj, (g.n + 7) // 8)
+
+
+def _rows_of(dense: np.ndarray) -> tuple[int, ...]:
+    """The bitset rows of a 0/1 matrix: bit u of row v is dense[v, u]."""
+    rows = np.packbits(dense, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
+
+
+def f2_rank(rows, *, stop: int | None = None) -> int:
+    """Rank over F2 of int bitset rows, by XOR elimination; with stop, the
+    elimination ends as soon as the rank reaches stop."""
+    pivots: dict[int, int] = {}  # leading bit -> the basis row that leads with it
+    for v in rows:
+        while v:
+            top = v.bit_length() - 1
+            b = pivots.get(top)
+            if b is None:
+                pivots[top] = v
+                if len(pivots) == stop:
+                    return stop
+                break
+            v ^= b
+    return len(pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -181,20 +203,22 @@ def _clique_in(adj, cand: int, k: int) -> tuple[int, ...] | None:
     return best[1]
 
 
+# Rows relabelled per numpy step; a step holds two blocks of _RELABEL_ROWS * n
+# bytes, so 32 MB at n = 2^14.
+_RELABEL_ROWS = 1 << 10
+
+
 def _by_degree(g: Graph) -> tuple[list[int], tuple[int, ...]]:
     """Relabel in descending-degree order, so strong branches come first;
     returns the old label of each new vertex and the relabelled rows."""
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    perm = {v: i for i, v in enumerate(order)}
-    adj = tuple(sum(1 << perm[u] for u in _bits(g.adj[v])) for v in order)
-    return order, adj
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
+    perm = np.array(order, dtype=np.intp)
+    packed = packed_adjacency(g)[perm]
+    rows: list[int] = []
+    for start in range(0, g.n, _RELABEL_ROWS):
+        dense = np.unpackbits(packed[start : start + _RELABEL_ROWS], axis=1, count=g.n, bitorder="little")
+        rows += _rows_of(np.take(dense, perm, axis=1))  # take: 5-10x faster than dense[:, perm]
+    return order, tuple(rows)
 
 
 def max_clique_size(g: Graph) -> int:
@@ -208,12 +232,18 @@ def max_clique_size(g: Graph) -> int:
 def find_clique(g: Graph, t: int) -> tuple[int, ...] | None:
     """A clique of size exactly t if one exists, else None.
 
-    The returned witness is re-verified pairwise before being returned.
+    A graph whose adjacency has F2 rank below t - 1 is answered None by one
+    elimination; any other is searched. The returned witness comes from the
+    search and is re-verified pairwise before being returned.
     """
     if t < 1:
         raise ValueError("clique size must be at least 1")
     if t == 1:
         return (0,) if g.n >= 1 else None
+    # A t-clique restricts the adjacency to J - I, whose F2 rank is at least
+    # t - 1; no principal submatrix outranks the whole, so rank < t - 1 is a proof.
+    if f2_rank(g.adj, stop=t - 1) < t - 1:
+        return None
     order, adj = _by_degree(g)
     found = _clique_in(adj, (1 << g.n) - 1, t)
     if found is None:

@@ -110,3 +110,23 @@ def oracle_color_class(cert, c: int) -> Graph:
                 adj[v] |= 1 << u
             i += 1
     return Graph(cert.n, tuple(adj))
+
+
+def oracle_has_clique(g: Graph, k: int) -> bool:
+    """Whether g has a k-clique, by growing every clique in increasing vertex
+    order without any bound."""
+
+    def grow(size: int, last: int, common: int) -> bool:
+        if size == k:
+            return True
+        return any((common >> v) & 1 and grow(size + 1, v, common & g.adj[v]) for v in range(last + 1, g.n))
+
+    return grow(0, -1, (1 << g.n) - 1)
+
+
+def oracle_by_degree(g: Graph) -> tuple[list[int], tuple[int, ...]]:
+    """The descending-degree relabelling, by moving every edge bit in turn."""
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    perm = {v: i for i, v in enumerate(order)}
+    adj = tuple(sum(1 << perm[u] for u in range(g.n) if (g.adj[v] >> u) & 1) for v in order)
+    return order, adj

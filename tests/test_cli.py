@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,43 @@ def test_color_verify_roundtrip(capsys, tmp_path):
     assert code == 0
     assert data["status"] == "success"
     code, data = payload(capsys, "verify", str(cert))
+    assert code == 0
+    assert data["valid"] is True
+
+
+@pytest.mark.parametrize("t", [12, 14])
+def test_graph_clique_absence_on_large_cf(capsys, t):
+    # proved by the F2 rank of the adjacency, t - 2, without a search
+    code, data = payload(capsys, "graph", "clique", "--in", f"cf:{t}", "--t", str(t))
+    assert code == 0
+    assert data["has_clique"] is False
+
+
+def test_cf12_certificate_verifies(capsys, tmp_path):
+    cert = tmp_path / "cert.txt"
+    code, data = payload(
+        capsys, "color", "--graph", "cf:12", "--t", "12", "--n", "600", "--ell", "3",
+        "--seed", "1", "--out", str(cert),
+    )
+    assert code == 0
+    assert data["status"] == "success"
+    code, data = payload(capsys, "verify", str(cert))
+    assert code == 0
+    assert data["valid"] is True
+
+
+def test_verify_skips_absent_colours(capsys, tmp_path):
+    # the classes of colours absent from the array are edgeless and are
+    # never built, so a huge ell costs nothing
+    cert = tmp_path / "cert.txt"
+    cert.write_text(
+        "halfmult-certificate v1\n"
+        "n: 3\nell: 100000000\nt: 3\nbase_graph: none\nseed: 0\nattempts_used: 0\n"
+        "colors: 1,100000000,7\n"
+    )
+    start = time.perf_counter()
+    code, data = payload(capsys, "verify", str(cert))
+    assert time.perf_counter() - start < 1.0
     assert code == 0
     assert data["valid"] is True
 

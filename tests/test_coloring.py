@@ -149,6 +149,17 @@ def test_verifier_rejects_monochromatic_k6():
     assert len(result.witness) == 4
 
 
+def test_verifier_reports_the_first_violating_colour_present():
+    # colours 2 and 5 each hold a K_4 on K_8; 1, 3 and 4 never occur
+    n = 8
+    colors = [2 if u < 4 and v < 4 else 5 if u >= 4 else 6 for u in range(n) for v in range(u + 1, n)]
+    cert = ColoringCertificate(n, 6, 4, tuple(colors), "none", 0, 0)
+    result = verify_certificate(cert)
+    assert (result.valid, result.violating_color, result.witness) == (False, 2, (0, 1, 2, 3))
+    swapped = ColoringCertificate(n, 6, 4, tuple({2: 5, 5: 2}.get(c, c) for c in colors), "none", 0, 0)
+    assert verify_certificate(swapped).witness == (4, 5, 6, 7)
+
+
 def test_verifier_witness_is_genuine():
     rng = random.Random(123)
     rejected = 0

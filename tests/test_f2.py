@@ -71,6 +71,13 @@ def test_ones_minus_identity_rank(t):
     assert f2_rank(rows) == t
 
 
+@pytest.mark.parametrize("t", [4, 6, 8, 10, 12, 14, 16])
+def test_cf_graph_rank(t):
+    # the adjacency is V Omega V^T, V the matrix of all vectors of F2^(t-2),
+    # so its rank is that of the nondegenerate form Omega
+    assert f2_rank(build_cf_graph(t).adj) == t - 2
+
+
 def test_f2_span():
     basis = [0b01, 0b10]
     assert f2_span(basis) == [0, 1, 2, 3]

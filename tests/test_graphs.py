@@ -7,12 +7,14 @@ import pytest
 
 from halfmult import graphs
 from halfmult.errors import BudgetError
+from halfmult.f2 import build_cf_graph
 from halfmult.graphs import (
     Graph,
     complement,
     complete,
     cycle,
     edgeless,
+    f2_rank,
     find_clique,
     from_edges,
     from_graph6,
@@ -25,7 +27,12 @@ from halfmult.graphs import (
     to_graph6,
 )
 
-from conftest import oracle_independent_subset_counts, oracle_max_clique
+from conftest import (
+    oracle_by_degree,
+    oracle_has_clique,
+    oracle_independent_subset_counts,
+    oracle_max_clique,
+)
 
 
 def test_complete_and_cycle_shapes():
@@ -147,6 +154,76 @@ def test_clique_search_matches_oracle_n12():
     for seed in range(5):
         g = sample_er_graph(12, 0.5, seed)
         assert max_clique_size(g) == oracle_max_clique(g)
+
+
+def _all_graphs(n):
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    for bits in range(1 << len(pairs)):
+        yield from_edges(n, [pair for i, pair in enumerate(pairs) if (bits >> i) & 1])
+
+
+def test_clique_number_at_most_rank_plus_one():
+    # a k-clique restricts the adjacency to J - I, of F2 rank >= k - 1
+    graphs_seen = [g for n in range(6) for g in _all_graphs(n)]
+    rng = random.Random(8)
+    for n in (6, 7, 8):
+        for _ in range(150):
+            p = rng.random()
+            graphs_seen.append(
+                from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            )
+    assert len(graphs_seen) == 1 + 1 + 2 + 8 + 64 + 1024 + 450
+    for g in graphs_seen:
+        omega = oracle_max_clique(g)
+        assert omega <= f2_rank(g.adj) + 1
+        for t in range(2, g.n + 2):
+            assert (find_clique(g, t) is not None) == (omega >= t)
+
+
+def test_f2_rank_stops_at_the_given_rank():
+    rng = random.Random(3)
+    for _ in range(50):
+        rows = [rng.getrandbits(40) for _ in range(rng.randint(0, 30))]
+        rank = f2_rank(rows)
+        for stop in range(1, 42):
+            assert f2_rank(rows, stop=stop) == min(rank, stop)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_find_clique_on_cf6_pullbacks(seed):
+    # a pullback of cf:6 has adjacency F^T Omega F, of F2 rank <= 4, so the
+    # rank proves it K_6-free; a planted K_6 must still be found by the search
+    base = build_cf_graph(6)
+    dense = np.unpackbits(packed_adjacency(base), axis=1, count=base.n, bitorder="little").astype(bool)
+    rng = np.random.default_rng(seed)
+    n = 40
+    f = rng.integers(0, base.n, size=n)
+    x, y = np.triu_indices(n, 1)
+    mask = dense[f[x], f[y]]
+    pullback = from_pairs(n, mask)
+    assert f2_rank(pullback.adj) <= 4
+    clique = np.zeros(n, dtype=bool)
+    clique[rng.choice(n, size=6, replace=False)] = True
+    planted = from_pairs(n, mask | (clique[x] & clique[y]))
+    for g in (pullback, planted):
+        omega = max_clique_size(g)
+        for t in range(2, 8):
+            witness = find_clique(g, t)
+            assert (witness is not None) == oracle_has_clique(g, t) == (omega >= t)
+            if witness is not None:
+                assert all(g.has_edge(u, v) for i, u in enumerate(witness) for v in witness[i + 1 :])
+    assert find_clique(pullback, 6) is None
+    assert find_clique(planted, 6) is not None
+
+
+@pytest.mark.parametrize("block", [graphs._RELABEL_ROWS, 7])
+@pytest.mark.parametrize("n", [1, 2, 8, 9, 64, 65, 300])
+def test_relabel_by_degree_matches_edge_loop(n, block, monkeypatch):
+    monkeypatch.setattr(graphs, "_RELABEL_ROWS", block)
+    rng = np.random.default_rng(n)
+    for p in (0.0, 0.3, 1.0):
+        g = from_pairs(n, rng.random(n * (n - 1) // 2) < p)
+        assert graphs._by_degree(g) == oracle_by_degree(g)
 
 
 def test_packed_adjacency_matches_edges():
