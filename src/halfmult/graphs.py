@@ -116,6 +116,13 @@ def packed_adjacency(g: Graph) -> np.ndarray:
     return _pack(g.adj, (g.n + 7) // 8)
 
 
+def adjacent(packed: np.ndarray, u, v) -> np.ndarray:
+    """Whether u and v are adjacent, read from packed_adjacency rows: bit
+    v & 7 of byte packed[u, v >> 3]. u and v are vertex indices or index
+    arrays that broadcast against each other."""
+    return ((packed[u, v >> 3] >> np.asarray(v & 7, dtype=np.uint8)) & 1).astype(bool)
+
+
 def _rows_of(dense: np.ndarray) -> tuple[int, ...]:
     """The bitset rows of a 0/1 matrix: bit u of row v is dense[v, u]."""
     rows = np.packbits(dense, axis=1, bitorder="little")

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import EXACT_COUNT_BUDGET, Graph, independence_profile, packed_adjacency
+from .graphs import EXACT_COUNT_BUDGET, Graph, adjacent, independence_profile, packed_adjacency
 from .rng import make_rng
 
 _STIRLING_ROWS: list[list[int]] = [[1]]
@@ -47,6 +47,8 @@ def exact_independence_prob(g: Graph, s: int, *, budget: int = EXACT_COUNT_BUDGE
     """
     if s < 1:
         raise ValueError("s must be at least 1")
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
     profile = independence_profile(g, min(s, g.n), budget=budget)
     total = 0
     for k in range(1, profile.s_max + 1):
@@ -76,6 +78,8 @@ def mc_independence_prob(g: Graph, s: int, trials: int, seed: int) -> McEstimate
         raise ValueError("s must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if g.n == 0:
+        raise ValueError("graph has no vertices")
     packed = packed_adjacency(g)
     rng = make_rng(seed)
     hits = 0
@@ -83,14 +87,19 @@ def mc_independence_prob(g: Graph, s: int, trials: int, seed: int) -> McEstimate
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
-        samples = rng.integers(0, g.n, size=(m, s))
-        bad = np.zeros(m, dtype=bool)
-        for i in range(s):
-            for j in range(i + 1, s):
-                u = samples[:, i]
-                v = samples[:, j]
-                bad |= ((packed[u, v >> 3] >> (v & 7).astype(np.uint8)) & 1).astype(bool)
-        hits += int(bad.sum())
+        # int32 halves the copies below; n < 2^31, or its packed rows could not be held
+        alive = rng.integers(0, g.n, size=(m, s)).astype(np.int32)
+        # vertex j meets vertices 0..j-1 of the trials still independent; a
+        # trial drops out at its first adjacent pair
+        for j in range(1, s):
+            v = alive[:, j]
+            hit = adjacent(packed, alive[:, 0], v)
+            for i in range(1, j):
+                hit |= adjacent(packed, alive[:, i], v)
+            alive = np.compress(~hit, alive, axis=0)
+            if not len(alive):
+                break
+        hits += m - len(alive)
         done += m
     p_hat = (trials - hits) / trials
     std_error = math.sqrt(p_hat * (1.0 - p_hat) / trials)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import numpy as np
 
 from halfmult.graphs import Graph
+from halfmult.rng import make_rng
 
 
 def oracle_independence_prob(g: Graph, s: int) -> Fraction:
@@ -31,6 +32,18 @@ def oracle_independence_prob(g: Graph, s: int) -> Fraction:
             bad |= dense[tuples[:, i], tuples[:, j]]
     good = int((~bad).sum())
     return Fraction(good, n**s)
+
+
+def oracle_mc_hits(g: Graph, s: int, trials: int, seed: int) -> int:
+    """Monte Carlo trials holding an adjacent pair, by testing all s(s-1)/2
+    pairs of every trial against a dense matrix, in one unchunked draw."""
+    samples = make_rng(seed).integers(0, g.n, size=(trials, s))
+    dense = np.array([[g.has_edge(v, u) for u in range(g.n)] for v in range(g.n)], dtype=bool)
+    bad = np.zeros(trials, dtype=bool)
+    for i in range(s):
+        for j in range(i + 1, s):
+            bad |= dense[samples[:, i], samples[:, j]]
+    return int(bad.sum())
 
 
 def oracle_max_clique(g: Graph) -> int:

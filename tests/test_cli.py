@@ -230,6 +230,20 @@ def test_bad_graph_file_exits_2(capsys, tmp_path, content):
         assert "format error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["exact", "--s", "2"], ["estimate", "--s", "2", "--trials", "100", "--seed", "1"]],
+    ids=["exact", "estimate"],
+)
+def test_zero_vertex_graph_exits_1(capsys, tmp_path, argv):
+    empty = tmp_path / "empty.g6"
+    empty.write_bytes(b"?\n")
+    code, out, err = run(capsys, *argv, "--in", str(empty))
+    assert code == 1
+    assert out == ""
+    assert err == "error: graph has no vertices\n"
+
+
 @pytest.mark.parametrize("spec", ["cf:abc", "cf:"])
 def test_cf_spec_without_integer_exits_2(capsys, spec):
     code, out, err = run(capsys, "exact", "--in", spec, "--s", "2")
@@ -402,7 +416,7 @@ _FUZZ_COMMANDS = [
 def fuzz_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     files = {"missing": root / "missing.g6"}
-    for name, content in {"empty": b"", "blank": b"\n \n", "junk": b"garbage!!\n", "path4": b"Ch\n"}.items():
+    for name, content in {"empty": b"", "blank": b"\n \n", "junk": b"garbage!!\n", "path4": b"Ch\n", "edgeless0": b"?\n"}.items():
         files[name] = root / f"{name}.g6"
         files[name].write_bytes(content)
     return {name: str(path) for name, path in files.items()}

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from halfmult import coloring, graphs
 from halfmult.bounds import multicolor_lower
 from halfmult.coloring import (
     ColoringCertificate,
@@ -16,7 +17,7 @@ from halfmult.coloring import (
 )
 from halfmult.errors import CertificateFormatError
 from halfmult.f2 import build_cf_graph
-from halfmult.graphs import complete, has_clique
+from halfmult.graphs import complete, cycle, has_clique
 from halfmult.search import pentagon_coloring
 
 from conftest import oracle_color_class
@@ -113,6 +114,29 @@ def test_failure_path_never_blames_pullback_classes():
         (3, 2, (7, 11, 12)),
         (4, 2, (3, 4, 15)),
     )
+
+
+@pytest.mark.parametrize(
+    "base, ell, t, n, seed, attempts",
+    [(build_cf_graph(6), 6, 6, 40, 1, 5), (build_cf_graph(6), 6, 6, 100, 2, 5), (cycle(5), 3, 3, 17, 8, 5)],
+    ids=["cf6-ell6-n40", "cf6-ell6-n100", "cycle5-ell3-failure"],
+)
+def test_construct_checks_only_the_coin_classes(base, ell, t, n, seed, attempts, monkeypatch):
+    # the base check is one find_clique call, and each attempt searches at
+    # most its two coin classes: the pullback classes are never searched
+    calls = []
+    search = graphs.find_clique
+
+    def counted(g, k):
+        calls.append(g.n)
+        return search(g, k)
+
+    monkeypatch.setattr(graphs, "find_clique", counted)
+    monkeypatch.setattr(coloring, "find_clique", counted)
+    result = construct_coloring(base, ell=ell, t=t, n=n, seed=seed, max_attempts=attempts)
+    used = result.attempts_used if isinstance(result, ColoringCertificate) else result.attempts
+    assert calls[0] == base.n
+    assert 1 < len(calls) <= 1 + 2 * used
 
 
 def test_cf6_certificate_text_is_pinned():

@@ -10,6 +10,7 @@ from halfmult.errors import BudgetError
 from halfmult.f2 import build_cf_graph
 from halfmult.graphs import (
     Graph,
+    adjacent,
     complement,
     complete,
     cycle,
@@ -234,6 +235,18 @@ def test_packed_adjacency_matches_edges():
         for v in range(n):
             for u in range(n):
                 assert (int(packed[v, u >> 3]) >> (u & 7)) & 1 == g.has_edge(v, u)
+
+
+@pytest.mark.parametrize("n", [1, 9, 65])
+def test_adjacent_matches_has_edge(n):
+    for g in (edgeless(n), complete(n), sample_er_graph(n, 0.3, n), sample_er_graph(n, 0.7, n + 1)):
+        packed = packed_adjacency(g)
+        expected = np.array([[g.has_edge(u, v) for v in range(n)] for u in range(n)])
+        u, v = np.divmod(np.arange(n * n), n)
+        assert (adjacent(packed, u, v) == expected.ravel()).all()
+        assert (adjacent(packed, u.reshape(n, n), v[:n][None, :]) == expected).all()
+        for a, b in [(0, n - 1), (n - 1, 0), (n // 2, n // 3)]:
+            assert adjacent(packed, a, b) == g.has_edge(a, b)
 
 
 def test_independence_profile_known_values():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,11 +6,12 @@ import numpy as np
 import pytest
 
 from halfmult.errors import BudgetError
-from halfmult.graphs import complete, cycle, edgeless, from_edges, sample_er_graph
+from halfmult.f2 import build_cf_graph
+from halfmult.graphs import Graph, complete, cycle, edgeless, from_edges, sample_er_graph
 from halfmult.prob import exact_independence_prob, mc_independence_prob, stirling2
 from halfmult.rng import make_rng
 
-from conftest import oracle_independence_prob
+from conftest import oracle_independence_prob, oracle_mc_hits
 
 
 def test_stirling_examples():
@@ -154,3 +156,52 @@ def test_mc_validates_input():
         mc_independence_prob(cycle(5), 0, 10, 0)
     with pytest.raises(ValueError):
         mc_independence_prob(cycle(5), 3, 0, 0)
+
+
+def test_zero_vertex_graph_is_refused():
+    empty = Graph(0, ())
+    with pytest.raises(ValueError, match="graph has no vertices"):
+        exact_independence_prob(empty, 2)
+    with pytest.raises(ValueError, match="graph has no vertices"):
+        mc_independence_prob(empty, 2, 10, 0)
+
+
+_MC_GRAPHS = {
+    **{f"edgeless{n}": edgeless(n) for n in (1, 2, 9, 65)},
+    **{f"complete{n}": complete(n) for n in (1, 2, 9, 65)},
+    "cycle5": cycle(5),
+    "cf8": build_cf_graph(8),
+    **{f"er{n}-{p}": sample_er_graph(n, p, 100 + n) for n in (2, 9, 65) for p in (0.1, 0.5, 0.9)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MC_GRAPHS))
+@pytest.mark.parametrize("s", [1, 2, 3, 6, 8])
+def test_mc_hits_match_all_pairs_oracle(name, s):
+    g = _MC_GRAPHS[name]
+    trials, seed = 3001, 7 * s + 11
+    est = mc_independence_prob(g, s, trials, seed)
+    assert est.estimate == (trials - oracle_mc_hits(g, s, trials, seed)) / trials
+
+
+@pytest.mark.parametrize("name", ["cf8", "er65-0.1", "edgeless65"])
+def test_mc_hits_match_oracle_across_chunks(name):
+    # two full chunks of 65536 trials and a partial one
+    g = _MC_GRAPHS[name]
+    trials, s, seed = 2 * 65536 + 37, 6, 4242
+    est = mc_independence_prob(g, s, trials, seed)
+    hits = oracle_mc_hits(g, s, trials, seed)
+    assert est.estimate == (trials - hits) / trials
+    p_hat = (trials - hits) / trials
+    assert est.std_error == math.sqrt(p_hat * (1.0 - p_hat) / trials)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_mc_on_complete9_keeps_only_repeated_draws(s):
+    # in K_9 a trial is independent iff all its draws are one vertex
+    trials, seed = 2 * 65536 + 37, 99 + s
+    samples = make_rng(seed).integers(0, 9, size=(trials, s))
+    survivors = int((samples == samples[:, :1]).all(axis=1).sum())
+    est = mc_independence_prob(complete(9), s, trials, seed)
+    assert est.estimate == survivors / trials
+    assert trials - survivors == oracle_mc_hits(complete(9), s, trials, seed)
