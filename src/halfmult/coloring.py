@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import CertificateFormatError
 from .bounds import multicolor_lower
-from .graphs import Graph, adjacent, find_clique, from_pairs, has_clique, packed_adjacency
+from .graphs import Graph, adjacent, find_clique, from_pairs, has_clique, packed_adjacency, to_graph6
 from .rng import make_rng
 
 _MAGIC = "halfmult-certificate v1"
@@ -193,13 +193,13 @@ def construct_coloring(
         raise ValueError(f"need n >= t, got n={n}, t={t}")
     if max_attempts < 1:
         raise ValueError("max_attempts must be at least 1")
+    if ell > 2 and g.n == 0:
+        raise ValueError("base graph has no vertices")
     if has_clique(g, t):
         raise ValueError(
             f"base graph contains a clique of size {t}; the pullback classes would be unsafe"
         )
     if base_label is None:
-        from .graphs import to_graph6
-
         base_label = to_graph6(g)
 
     m = n * (n - 1) // 2

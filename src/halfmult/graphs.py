@@ -116,6 +116,11 @@ def packed_adjacency(g: Graph) -> np.ndarray:
     return _pack(g.adj, (g.n + 7) // 8)
 
 
+def dense_adjacency(g: Graph) -> np.ndarray:
+    """Adjacency as an n x n 0/1 uint8 matrix: entry [v, u] is bit u of row v."""
+    return np.unpackbits(packed_adjacency(g), axis=1, count=g.n, bitorder="little")
+
+
 def adjacent(packed: np.ndarray, u, v) -> np.ndarray:
     """Whether u and v are adjacent, read from packed_adjacency rows: bit
     v & 7 of byte packed[u, v >> 3]. u and v are vertex indices or index
@@ -379,20 +384,11 @@ def _g6_size_bytes(n: int) -> bytes:
 
 def to_graph6(g: Graph) -> str:
     """Encode as a graph6 line (no header, no newline)."""
-    bits = []
-    for v in range(1, g.n):
-        row = g.adj[v]
-        for u in range(v):
-            bits.append((row >> u) & 1)
-    data = bytearray(_g6_size_bytes(g.n))
-    for i in range(0, len(bits), 6):
-        group = bits[i : i + 6]
-        group += [0] * (6 - len(group))
-        val = 0
-        for b in group:
-            val = (val << 1) | b
-        data.append(val + 63)
-    return data.decode("ascii")
+    bits = dense_adjacency(g)[np.tri(g.n, k=-1, dtype=bool)]  # row v, columns u < v, in turn
+    groups = np.zeros((len(bits) + 5) // 6 * 6, dtype=np.uint8)  # zero-padded to whole groups
+    groups[: len(bits)] = bits
+    body = (np.packbits(groups.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63  # six bits a byte, first bit highest
+    return (_g6_size_bytes(g.n) + body.tobytes()).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
@@ -413,24 +409,17 @@ def from_graph6(text: str) -> Graph:
         body = raw[1:]
     if n < 0:
         raise ValueError("invalid graph6 size field")
-    need = (n * (n - 1) // 2 + 5) // 6
+    pairs = n * (n - 1) // 2
+    need = (pairs + 5) // 6
     if len(body) != need:
         raise ValueError(f"graph6 body has {len(body)} bytes, expected {need}")
-    bits = []
-    for byte in body:
-        val = byte - 63
-        if not 0 <= val < 64:
-            raise ValueError("graph6 byte out of range")
-        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
-    adj = [0] * n
-    i = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[i]:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            i += 1
-    return Graph(n, tuple(adj))
+    values = np.frombuffer(body, dtype=np.uint8) - 63  # bytes below 63 wrap past 63
+    if (values >= 64).any():
+        raise ValueError("graph6 byte out of range")
+    bits = np.unpackbits(values[:, None], axis=1)[:, 2:].ravel()[:pairs]  # the padding is ignored
+    dense = np.zeros((n, n), dtype=bool)
+    dense[np.tri(n, k=-1, dtype=bool)] = bits
+    return Graph(n, _rows_of(dense | dense.T))
 
 
 def write_graph6_file(path, graphs) -> None:

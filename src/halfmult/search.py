@@ -20,6 +20,7 @@ and (3,3)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -29,10 +30,12 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetError
-from .graphs import Graph, complement, from_edges, has_clique, to_graph6
+from .graphs import Graph, complement, dense_adjacency, from_edges, has_clique, to_graph6
 from .prob import stirling2
 
 ENUMERATION_BUDGET = 8
+# isomorphism keys gather over a table of all n! relabelings: 1.3 GB of indices at n = 10
+ISOMORPHISM_KEY_LIMIT = 10
 
 
 def _check_scope(n_max: int, t: int | None, budget: int) -> None:
@@ -131,28 +134,31 @@ class SearchResult:
     graphs_scanned: int
 
 
-def _canonical_form(g: Graph) -> tuple:
-    """Lexicographically least adjacency encoding over all vertex relabelings."""
-    best = None
-    for perm in itertools.permutations(range(g.n)):
-        rows = []
-        for v in range(g.n):
-            row = 0
-            src = g.adj[perm[v]]
-            for u in range(g.n):
-                if (src >> perm[u]) & 1:
-                    row |= 1 << u
-            rows.append(row)
-        key = tuple(rows)
-        if best is None or key < best:
-            best = key
-    return best
+@functools.cache
+def _relabeled_pairs(n: int) -> np.ndarray:
+    """Row k holds p[u] * n + p[v] over the pairs u < v in pair-slot order,
+    for the k-th relabeling p of n vertices: the flat indices of a dense
+    adjacency matrix that read the relabeled graph's pair bits."""
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    u, v = np.triu_indices(n, 1)
+    return perms[:, u] * n + perms[:, v]
+
+
+def _canonical_form(g: Graph) -> bytes:
+    """The least pair-bit string over all vertex relabelings, packed eight
+    pairs a byte with the first pair highest, so that bytes compare as the
+    bit strings do. Graphs on the same number of vertices are isomorphic iff
+    their forms are equal."""
+    rows = np.packbits(dense_adjacency(g).ravel()[_relabeled_pairs(g.n)], axis=1)
+    # lexsort's last key is its primary one; the row number, its first, only breaks ties and
+    # keeps the key list nonempty when g has no pairs
+    return rows[np.lexsort([np.arange(len(rows)), *rows.T[::-1]])[0]].tobytes()
 
 
 def _slot_key(g: Graph) -> tuple:
     """Order of the pair-slot enumeration: n, then the edge bits of
     (0,1), (0,2), ..., (n-2,n-1), absent before present."""
-    return g.n, tuple(g.has_edge(u, v) for u, v in itertools.combinations(range(g.n), 2))
+    return g.n, np.packbits(dense_adjacency(g)[~np.tri(g.n, dtype=bool)]).tobytes()
 
 
 def min_independence_prob(
@@ -169,6 +175,11 @@ def min_independence_prob(
     if s < 1:
         raise ValueError("s must be at least 1")
     _check_scope(n_max, t, budget)
+    if dedup_iso and n_max > ISOMORPHISM_KEY_LIMIT:
+        raise BudgetError(
+            f"isomorphism keys are limited to n <= {ISOMORPHISM_KEY_LIMIT}; "
+            f"n={n_max} would need all {math.factorial(n_max)} relabelings"
+        )
     least: dict[int, list] = {}  # n -> [least tuple count, blocks attaining it]
     scanned = 0
     for n, prefix, tails, W in _grow(n_max, t, s):
@@ -189,14 +200,10 @@ def min_independence_prob(
         for g in _graphs(prefix, tails)
     ]
     if dedup_iso:
-        seen = set()
-        kept = []
+        firsts = {}
         for g in sorted(witnesses, key=_slot_key):
-            key = (g.n, _canonical_form(g))
-            if key not in seen:
-                seen.add(key)
-                kept.append(g)
-        witnesses = kept
+            firsts.setdefault((g.n, _canonical_form(g)), g)
+        witnesses = list(firsts.values())
     return SearchResult(
         s=s,
         t=t,

@@ -112,6 +112,88 @@ def oracle_isomorphism_key(g: Graph) -> tuple:
     )
 
 
+def oracle_canonical_form(g: Graph) -> tuple:
+    """The least tuple of bitset rows over all relabelings, by moving every
+    adjacency bit of every relabeling in turn."""
+    best = None
+    for perm in itertools.permutations(range(g.n)):
+        rows = []
+        for v in range(g.n):
+            row = 0
+            src = g.adj[perm[v]]
+            for u in range(g.n):
+                if (src >> perm[u]) & 1:
+                    row |= 1 << u
+            rows.append(row)
+        key = tuple(rows)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def _oracle_g6_size_bytes(n: int) -> bytes:
+    if n <= 62:
+        return bytes([n + 63])
+    return bytes([126, ((n >> 12) & 63) + 63, ((n >> 6) & 63) + 63, (n & 63) + 63])
+
+
+def oracle_to_graph6(g: Graph) -> str:
+    """graph6 of g, one pair bit and one six-bit group at a time."""
+    bits = []
+    for v in range(1, g.n):
+        row = g.adj[v]
+        for u in range(v):
+            bits.append((row >> u) & 1)
+    data = bytearray(_oracle_g6_size_bytes(g.n))
+    for i in range(0, len(bits), 6):
+        group = bits[i : i + 6]
+        group += [0] * (6 - len(group))
+        val = 0
+        for b in group:
+            val = (val << 1) | b
+        data.append(val + 63)
+    return data.decode("ascii")
+
+
+def oracle_from_graph6(text: str) -> Graph:
+    """Decode a graph6 line one pair bit at a time, raising ValueError with
+    the messages the library uses."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise ValueError("empty graph6 string")
+    raw = s.encode("ascii")
+    if raw[0] == 126:
+        if len(raw) < 4:
+            raise ValueError("truncated graph6 size field")
+        n = ((raw[1] - 63) << 12) | ((raw[2] - 63) << 6) | (raw[3] - 63)
+        body = raw[4:]
+    else:
+        n = raw[0] - 63
+        body = raw[1:]
+    if n < 0:
+        raise ValueError("invalid graph6 size field")
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(body) != need:
+        raise ValueError(f"graph6 body has {len(body)} bytes, expected {need}")
+    bits = []
+    for byte in body:
+        val = byte - 63
+        if not 0 <= val < 64:
+            raise ValueError("graph6 byte out of range")
+        bits.extend((val >> shift) & 1 for shift in range(5, -1, -1))
+    adj = [0] * n
+    i = 0
+    for v in range(1, n):
+        for u in range(v):
+            if bits[i]:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            i += 1
+    return Graph(n, tuple(adj))
+
+
 def oracle_color_class(cert, c: int) -> Graph:
     """The graph of color c, by walking the pairs of the certificate in order."""
     adj = [0] * cert.n

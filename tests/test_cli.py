@@ -244,6 +244,16 @@ def test_zero_vertex_graph_exits_1(capsys, tmp_path, argv):
     assert err == "error: graph has no vertices\n"
 
 
+def test_color_on_zero_vertex_base_graph(capsys, tmp_path):
+    empty = tmp_path / "empty.g6"
+    empty.write_bytes(b"?\n")
+    argv = ["color", "--graph", str(empty), "--t", "3", "--n", "4", "--seed", "1"]
+    code, out, err = run(capsys, *argv, "--ell", "3")
+    assert (code, out, err) == (1, "", "error: base graph has no vertices\n")
+    code, _, _ = run(capsys, *argv, "--ell", "2")  # two colours never read the base graph
+    assert code == 0
+
+
 @pytest.mark.parametrize("spec", ["cf:abc", "cf:"])
 def test_cf_spec_without_integer_exits_2(capsys, spec):
     code, out, err = run(capsys, "exact", "--in", spec, "--s", "2")

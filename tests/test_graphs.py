@@ -30,9 +30,11 @@ from halfmult.graphs import (
 
 from conftest import (
     oracle_by_degree,
+    oracle_from_graph6,
     oracle_has_clique,
     oracle_independent_subset_counts,
     oracle_max_clique,
+    oracle_to_graph6,
 )
 
 
@@ -335,6 +337,35 @@ def test_graph6_roundtrip_small_and_large():
         assert from_graph6(to_graph6(g)) == g
     big = sample_er_graph(70, 0.1, 3)  # exercises the 3-byte size field
     assert from_graph6(to_graph6(big)) == big
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 62, 63, 64, 65, 300])  # the size field widens past 62
+def test_graph6_matches_pair_loop_oracle(n):
+    rng = np.random.default_rng(n)
+    for density in (0.0, 0.3, 1.0):
+        g = from_pairs(n, rng.random(n * (n - 1) // 2) < density)
+        text = to_graph6(g)
+        assert text == oracle_to_graph6(g)
+        assert from_graph6(text) == oracle_from_graph6(text) == g
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 65])  # n(n-1)/2 is not a multiple of 6
+def test_graph6_ignores_padding_bits(n):
+    pairs = n * (n - 1) // 2
+    text = to_graph6(from_pairs(n, np.random.default_rng(n).random(pairs) < 0.5))
+    padding = (1 << -pairs % 6) - 1  # the low bits of the last six-bit group
+    padded = text[:-1] + chr((ord(text[-1]) - 63 | padding) + 63)
+    assert padded != text
+    assert from_graph6(padded) == oracle_from_graph6(padded) == from_graph6(text)
+
+
+@pytest.mark.parametrize("text", ["", ">>graph6<<", "D", "C~~", "~", "~??", ">", "A!", "A\x7f", "\x7f", "~?@?"])
+def test_graph6_errors_match_oracle(text):
+    with pytest.raises(ValueError) as expected:
+        oracle_from_graph6(text)
+    with pytest.raises(ValueError) as got:
+        from_graph6(text)
+    assert str(got.value) == str(expected.value)
 
 
 def test_graph6_matches_networkx():

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from halfmult.bounds import (
@@ -10,9 +11,10 @@ from halfmult.bounds import (
     ramsey_upper_half,
 )
 from halfmult.errors import BudgetError
-from halfmult.graphs import complement, complete, from_graph6, has_clique, to_graph6
+from halfmult.graphs import complement, complete, from_edges, from_graph6, has_clique, sample_er_graph, to_graph6
 from halfmult.prob import exact_independence_prob
 from halfmult.search import (
+    _canonical_form,
     enumerate_ktfree,
     known_exact_value,
     min_independence_prob,
@@ -22,6 +24,7 @@ from halfmult.search import (
 )
 
 from conftest import (
+    oracle_canonical_form,
     oracle_independence_prob,
     oracle_isomorphism_key,
     oracle_ktfree_graphs,
@@ -106,6 +109,59 @@ def test_min_independence_dedup_iso():
     assert deduped.min_prob == full.min_prob
 
 
+def _same_classes(*labelings):
+    """Whether lists of labels, one label per graph, split the graphs into the same classes."""
+    pairs = set(zip(*labelings))
+    return all(len(set(labels)) == len(pairs) for labels in labelings)
+
+
+def test_canonical_form_classes_match_oracle():
+    graphs = {g.adj: g for t in range(2, 6) for n in range(6) for g in oracle_ktfree_graphs(n, t)}.values()
+    iso = [oracle_isomorphism_key(g) for g in graphs]
+    assert _same_classes([(g.n, _canonical_form(g)) for g in graphs], iso)
+    # the graphs on at most 5 vertices without a K_5: 1, 1, 2, 4, 11 and 34 - 1 classes (OEIS A000088)
+    assert len(set(iso)) == 52
+
+
+# each oracle takes about half a second a graph at n = 8, so n = 8 runs only one
+@pytest.mark.parametrize(
+    "n, seed, oracles",
+    [
+        (7, 1, (oracle_isomorphism_key, oracle_canonical_form)),
+        (7, 2, (oracle_isomorphism_key, oracle_canonical_form)),
+        (8, 3, (oracle_isomorphism_key,)),
+    ],
+)
+def test_canonical_form_under_relabeling_and_edge_changes(n, seed, oracles):
+    rng = np.random.default_rng(seed)
+    g = sample_er_graph(n, 0.5, seed)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
+    holes = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
+    p = rng.permutation(n).tolist()
+    relabeled = from_edges(n, [(p[u], p[v]) for u, v in edges])
+    assert relabeled != g
+    assert _canonical_form(relabeled) == _canonical_form(g)
+    flipped = from_edges(n, edges[1:])  # one edge fewer: always another class
+    assert _canonical_form(flipped) != _canonical_form(g)
+    # moving one edge keeps the edge count, so only the structure tells the classes apart
+    moved = [
+        from_edges(n, [e for e in edges if e != edges[i]] + [holes[j]])
+        for i, j in zip(rng.choice(len(edges), 2, replace=False), rng.choice(len(holes), 2, replace=False))
+    ]
+    graphs = [g, *moved]
+    labelings = [[oracle(h) for h in graphs] for oracle in oracles]
+    assert len(set(labelings[0])) > 1  # some move leaves the class of g
+    assert _same_classes([_canonical_form(h) for h in graphs], *labelings)
+
+
+def test_dedup_iso_witnesses_pinned():
+    # recorded with the relabeling loop that oracle_canonical_form keeps
+    r = min_independence_prob(3, 3, 7, dedup_iso=True)
+    assert (r.min_prob, r.witnesses, r.graphs_scanned) == (Fraction(1, 4), ("A_", "C]", "EFz_"), 139729)
+    r = min_independence_prob(4, 4, 6, dedup_iso=True)
+    assert (r.min_prob, r.witnesses, r.graphs_scanned) == (Fraction(1, 27), ("Bw", "E]~o"), 28658)
+
+
 def _brute_force_min(scored, n_max, dedup_iso, keys):
     """min_independence_prob's result from (probability, graph) pairs in
     pair-slot order: witnesses on at most n_max vertices, and with dedup_iso
@@ -142,6 +198,12 @@ def test_min_independence_exact_for_large_s():
     for n_max in (5, 6):
         r = min_independence_prob(25, 3, n_max)
         assert (r.min_prob, r.witnesses, r.graphs_scanned) == _brute_force_min(scored, n_max, False, {})
+
+
+def test_dedup_iso_refuses_relabeling_tables_past_ten_vertices():
+    # t = 2 leaves one edgeless graph per n, so only the n! table could be large
+    with pytest.raises(BudgetError, match="39916800 relabelings"):
+        min_independence_prob(1, 2, 11, dedup_iso=True, budget=11)
 
 
 def test_min_independence_counts_past_one_byte():
