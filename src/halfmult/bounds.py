@@ -128,6 +128,15 @@ def _n_rec_cached(s: int, t: int, tol: float) -> float:
     return 0.5 * (f + g)
 
 
+def _n_rec(s: int, t: int, tol: float) -> float:
+    """_n_rec_cached(s, t, tol), with the memo filled bottom-up first, so that
+    no call recurses more than one level, however large s and t are."""
+    for t_ in range(3, t + 1):
+        for s_ in range(2, s + 1):
+            _n_rec_cached(s_, t_, tol)
+    return _n_rec_cached(s, t, tol)
+
+
 def n_recursion(s: int, t: int, tol: float = 1e-12) -> float:
     """Neighborhood-method lower bound N(s,t) for the independence probability.
 
@@ -141,7 +150,7 @@ def n_recursion(s: int, t: int, tol: float = 1e-12) -> float:
         raise ValueError(f"need s >= 1 and t >= 2, got s={s}, t={t}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _n_rec_cached(int(s), int(t), float(tol))
+    return _n_rec(int(s), int(t), float(tol))
 
 
 def n_recursion_crossing(s: int, t: int, tol: float = 1e-12) -> tuple[float, float]:
@@ -154,8 +163,8 @@ def n_recursion_crossing(s: int, t: int, tol: float = 1e-12) -> tuple[float, flo
         raise ValueError("crossings exist only for s >= 2 and t >= 3")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = _n_rec_cached(s, t - 1, float(tol))
-    b = _n_rec_cached(s - 1, t, float(tol))
+    a = _n_rec(s, t - 1, float(tol))
+    b = _n_rec(s - 1, t, float(tol))
     x, f, g = _bisect_crossing(s, a, b, float(tol))
     return x, 0.5 * (f + g)
 

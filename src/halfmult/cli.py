@@ -190,6 +190,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
+    if args.p_value is not None and args.ell is None:
+        raise FormatError("--p-value feeds the multicolor bound, which needs --ell")
     table = _ramsey_table(args.ramsey_table)
     p_value = _parse_prob(args.p_value) if args.p_value else None
     reports = standard_report(args.s, args.t, ell=args.ell, table=table, p_value=p_value)

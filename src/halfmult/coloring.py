@@ -71,7 +71,7 @@ class ColoringCertificate:
             f"base_graph: {self.base_graph}\n"
             f"seed: {self.seed}\n"
             f"attempts_used: {self.attempts_used}\n"
-            f"colors: {','.join(str(c) for c in self.colors)}\n"
+            f"colors: {','.join(map(str, self.colors))}\n"
         )
 
 
@@ -99,15 +99,22 @@ def certificate_from_text(text: str) -> ColoringCertificate:
         t = int(fields["t"])
         seed = int(fields["seed"])
         attempts_used = int(fields["attempts_used"])
-        colors = tuple(int(c) for c in fields["colors"].split(",")) if fields["colors"] else ()
+        entries = fields["colors"].split(",") if fields["colors"] else []
+        try:
+            array = np.array(entries, dtype=np.int64)  # converts each entry as int() does
+        except (ValueError, OverflowError):
+            array = None  # int() then accepts the entries, or names the first it cannot read
+        colors = tuple(int(c) for c in entries) if array is None else tuple(array.tolist())
     except ValueError as exc:
         raise CertificateFormatError(f"non-integer field: {exc}") from None
     cert = ColoringCertificate(n, ell, t, colors, fields["base_graph"], seed, attempts_used)
-    _check_shape(cert)
+    _check_shape(cert, array)
     return cert
 
 
-def _check_shape(cert: ColoringCertificate) -> None:
+def _check_shape(cert: ColoringCertificate, colors: np.ndarray | None = None) -> None:
+    """Check the header and the colours against each other. colors, where
+    given, is cert.colors as an integer array, range-checked at once."""
     if cert.n < 1 or cert.ell < 2 or cert.t < 2:
         raise CertificateFormatError(
             f"need n >= 1, ell >= 2, t >= 2; got n={cert.n}, ell={cert.ell}, t={cert.t}"
@@ -117,9 +124,14 @@ def _check_shape(cert: ColoringCertificate) -> None:
         raise CertificateFormatError(
             f"color array has {len(cert.colors)} entries, expected {expected}"
         )
-    for c in cert.colors:
-        if not 1 <= c <= cert.ell:
-            raise CertificateFormatError(f"color {c} outside 1..{cert.ell}")
+    if colors is None:
+        for c in cert.colors:
+            if not 1 <= c <= cert.ell:
+                raise CertificateFormatError(f"color {c} outside 1..{cert.ell}")
+        return
+    bad = (colors < 1) | (colors > cert.ell)
+    if bad.any():
+        raise CertificateFormatError(f"color {colors[bad.argmax()]} outside 1..{cert.ell}")
 
 
 @dataclass(frozen=True)
@@ -143,9 +155,10 @@ def verify_certificate(cert: ColoringCertificate) -> VerifyResult:
     """Check the class of every color in the array for a K_t, independently
     of how the certificate was produced. Returns the first violating color
     and a clique witness on failure."""
-    _check_shape(cert)
+    colors = np.array(cert.colors)
+    _check_shape(cert, colors if colors.dtype.kind == "i" else None)
     # an absent colour has an edgeless class, which holds no K_t for t >= 2
-    return _verify_classes(np.array(cert.colors), cert.n, cert.t, sorted(set(cert.colors)))
+    return _verify_classes(colors, cert.n, cert.t, sorted(set(cert.colors)))
 
 
 @dataclass(frozen=True)

@@ -225,3 +225,43 @@ def oracle_by_degree(g: Graph) -> tuple[list[int], tuple[int, ...]]:
     perm = {v: i for i, v in enumerate(order)}
     adj = tuple(sum(1 << perm[u] for u in range(g.n) if (g.adj[v] >> u) & 1) for v in order)
     return order, adj
+
+
+def oracle_first_clique(g: Graph, t: int | None = None) -> tuple[int, ...] | None:
+    """find_clique's witness by the plain colour-bound branch and bound, with
+    no twin skipping: over the descending-degree relabelling, the first
+    t-clique the search meets, or with t None the largest clique it ends on."""
+    order, adj = oracle_by_degree(g)
+    best: list = [0 if t is None else t - 1, None]
+
+    def expand(cand: int, current: list[int]) -> None:
+        if len(current) + cand.bit_count() <= best[0]:
+            return
+        vertices, colors = [], []
+        rest, color = cand, 0
+        while rest:  # greedy colour classes, each in ascending vertex order
+            color += 1
+            avail = rest
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                avail &= ~adj[v] & ~(1 << v)
+                rest &= ~(1 << v)
+                vertices.append(v)
+                colors.append(color)
+        for v, color in reversed(list(zip(vertices, colors))):
+            if (t is not None and best[0] >= t) or len(current) + color <= best[0]:
+                return
+            current.append(v)
+            if cand & adj[v]:
+                expand(cand & adj[v], current)
+            elif len(current) > best[0]:
+                best[:] = [len(current), tuple(sorted(current))]
+            current.pop()
+            cand &= ~(1 << v)
+
+    if t is not None and t <= 1:
+        return (0,) if t == 1 and g.n else None
+    expand((1 << g.n) - 1, [])
+    if best[1] is None:
+        return () if t is None else None
+    return tuple(sorted(order[i] for i in best[1]))[: t or None]

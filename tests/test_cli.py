@@ -278,6 +278,7 @@ def test_cf_spec_with_odd_t_is_domain_error(capsys):
         (["bounds", "--s", "4", "--t", "4", "--ramsey-table", "{short}"], 2),
         (["bounds", "--s", "4", "--t", "4", "--ramsey-table", "{not_int}"], 2),
         (["bounds", "--s", "4", "--t", "4", "--ramsey-table", "{not_utf8}"], 2),
+        (["bounds", "--s", "3", "--t", "3", "--p-value", "1/2"], 2),
     ],
     ids=[
         "p-value-zero-denominator",
@@ -287,6 +288,7 @@ def test_cf_spec_with_odd_t_is_domain_error(capsys):
         "ramsey-table-three-fields",
         "ramsey-table-non-integer",
         "ramsey-table-not-utf8",
+        "p-value-without-ell",
     ],
 )
 def test_bad_inputs_exit_cleanly(capsys, tmp_path, argv, expected):
@@ -299,6 +301,21 @@ def test_bad_inputs_exit_cleanly(capsys, tmp_path, argv, expected):
     assert code == expected
     assert out == ""
     assert "Traceback" not in err and err.startswith(("format error", "io error", "error"))
+
+
+@pytest.mark.parametrize("value", ["0", "2", "nan"])
+def test_p_value_needs_ell(capsys, value):
+    code, out, err = run(capsys, "bounds", "--s", "3", "--t", "3", "--p-value", value)
+    assert (code, out) == (2, "")
+    assert "--ell" in err
+
+
+@pytest.mark.parametrize("command", ["nrec", "bounds"])
+def test_recursion_at_large_s_exits_0(capsys, command):
+    # N(s,t) memoises s x t values; none may recurse s + t deep
+    code, out, err = run(capsys, command, "--s", "500", "--t", "3")
+    assert code == 0
+    assert "Traceback" not in out + err
 
 
 def test_non_ascii_certificate_exits_2(capsys, tmp_path):

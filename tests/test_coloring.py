@@ -223,6 +223,37 @@ def test_certificate_format_errors():
         verify_certificate(ColoringCertificate(3, 2, 3, (1, 2, 3), "none", 0, 0))
 
 
+@pytest.mark.parametrize(
+    "colors, message",
+    [
+        ("1,x,2", "non-integer field: invalid literal for int() with base 10: 'x'"),
+        ("1,1.5,2", "non-integer field: invalid literal for int() with base 10: '1.5'"),
+        ("1,,2", "non-integer field: invalid literal for int() with base 10: ''"),
+        ("1,0,2", "color 0 outside 1..2"),
+        ("1,3,0", "color 3 outside 1..2"),
+        ("1," + "9" * 30 + ",0", "color " + "9" * 30 + " outside 1..2"),
+        ("1,2", "color array has 2 entries, expected 3"),
+        ("", "color array has 0 entries, expected 3"),
+    ],
+    ids=["letter", "decimal", "empty-entry", "zero", "ell-plus-one", "30-digits", "short", "empty"],
+)
+def test_malformed_colours_are_reported_as_int_reads_them(colors, message):
+    # the first bad entry in pair order is the one named
+    text = "halfmult-certificate v1\nn: 3\nell: 2\nt: 3\nbase_graph: none\nseed: 0\nattempts_used: 0\n"
+    with pytest.raises(CertificateFormatError) as exc:
+        certificate_from_text(text + f"colors: {colors}\n")
+    assert str(exc.value) == message
+
+
+def test_colours_parse_as_int_reads_them():
+    # int() accepts signs, spaces and non-ASCII digits; so does the parser
+    text = "halfmult-certificate v1\nn: 3\nell: 2\nt: 3\nbase_graph: none\nseed: 0\nattempts_used: 0\n"
+    cert = certificate_from_text(text + "colors: +1, 2,\u0661\n")
+    assert cert.colors == (1, 2, 1) and all(type(c) is int for c in cert.colors)
+    with pytest.raises(CertificateFormatError, match="color 9223372036854775808 outside 1..2"):
+        verify_certificate(ColoringCertificate(3, 2, 3, (1, 2**63, 1), "none", 0, 0))
+
+
 def test_sizing_examples():
     assert sizing(5, 2, 1.0) == 4
     assert sizing(5, 2, 0.37) == 4  # ell=2 ignores p_value

@@ -30,6 +30,7 @@ from halfmult.graphs import (
 
 from conftest import (
     oracle_by_degree,
+    oracle_first_clique,
     oracle_from_graph6,
     oracle_has_clique,
     oracle_independent_subset_counts,
@@ -217,6 +218,60 @@ def test_find_clique_on_cf6_pullbacks(seed):
                 assert all(g.has_edge(u, v) for i, u in enumerate(witness) for v in witness[i + 1 :])
     assert find_clique(pullback, 6) is None
     assert find_clique(planted, 6) is not None
+
+
+def _pullback(base: Graph, n: int, rng: np.random.Generator, removed: int = 0) -> Graph:
+    """A random pullback of base to n vertices; with removed > 0, the pairs of
+    a random removed-set are taken out, as a tampered certificate's class is."""
+    f = rng.integers(0, base.n, size=n)
+    x, y = np.triu_indices(n, 1)
+    mask = adjacent(packed_adjacency(base), f[x], f[y])
+    if removed:
+        members = np.zeros(n, dtype=bool)
+        members[rng.choice(n, size=removed, replace=False)] = True
+        mask &= ~(members[x] & members[y])
+    return from_pairs(n, mask)
+
+
+def test_search_matches_the_plain_colour_bound_search():
+    # twin skipping prunes only subtrees without a clique above best, so the
+    # first witness and the clique number are the plain search's
+    rng = np.random.default_rng(14)
+    cases = [sample_er_graph(int(rng.integers(5, 60)), float(rng.choice([0.3, 0.5, 0.7, 0.85])), seed) for seed in range(60)]
+    for t in (6, 8):
+        base = build_cf_graph(t)
+        for n in (30, 70):
+            for removed in (0, 0, t, t):
+                cases.append(_pullback(base, n, rng, removed))
+    for g in cases:
+        assert max_clique_size(g) == len(oracle_first_clique(g))
+        for k in range(2, 10):
+            assert find_clique(g, k) == oracle_first_clique(g, k)
+
+
+def test_twins_are_branched_once(monkeypatch):
+    # in a blow-up whose copies of a vertex are non-adjacent twins, only the
+    # first twin of each class is branched on, so the search visits as many
+    # nodes as on the graph it blows up, and answers the same
+    calls = [0]
+    expand = graphs._expand
+
+    def counting(*args):
+        calls[0] += 1
+        return expand(*args)
+
+    monkeypatch.setattr(graphs, "_expand", counting)
+    for seed in range(6):
+        h = sample_er_graph(24, 0.5, seed)
+        edges = [(u, v) for u in range(24) for v in range(u + 1, 24) if h.has_edge(u, v)]
+        g = from_edges(72, [(3 * u + a, 3 * v + b) for u, v in edges for a in range(3) for b in range(3)])
+        omega = max_clique_size(h)
+        counts = []
+        for graph in (h, g):
+            calls[0] = 0
+            assert max_clique_size(graph) == omega and find_clique(graph, omega + 1) is None
+            counts.append(calls[0])
+        assert counts[0] == counts[1]
 
 
 @pytest.mark.parametrize("block", [graphs._RELABEL_ROWS, 7])
