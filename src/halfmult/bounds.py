@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, log
 
 from .errors import FormatError, RamseyTableError
@@ -118,23 +117,20 @@ def _bisect_crossing(s: int, a: float, b: float, tol: float) -> tuple[float, flo
     return x, f, g
 
 
-@lru_cache(maxsize=None)
-def _n_rec_cached(s: int, t: int, tol: float) -> float:
-    if s == 1 or t == 2:
-        return 1.0
-    a = _n_rec_cached(s, t - 1, tol)
-    b = _n_rec_cached(s - 1, t, tol)
-    _, f, g = _bisect_crossing(s, a, b, tol)
-    return 0.5 * (f + g)
+def _n_table(s: int, t: int, tol: float) -> tuple[float, float]:
+    """(x*, N(s,t)) at the crossing of the top cell, for s >= 2 and t >= 3.
 
-
-def _n_rec(s: int, t: int, tol: float) -> float:
-    """_n_rec_cached(s, t, tol), with the memo filled bottom-up first, so that
-    no call recurses more than one level, however large s and t are."""
-    for t_ in range(3, t + 1):
-        for s_ in range(2, s + 1):
-            _n_rec_cached(s_, t_, tol)
-    return _n_rec_cached(s, t, tol)
+    Fills the table row by row in t, in place: before cell (s', t) is
+    written, row[s'-1] holds N(s',t-1) and b holds N(s'-1,t). Only one row
+    is ever held, and nothing outlives the call.
+    """
+    row = [1.0] * s  # N(1..s, 2)
+    for _ in range(3, t + 1):
+        b = 1.0  # N(1, t')
+        for i in range(1, s):
+            x, f, g = _bisect_crossing(i + 1, row[i], b, tol)
+            b = row[i] = 0.5 * (f + g)
+    return x, b
 
 
 def n_recursion(s: int, t: int, tol: float = 1e-12) -> float:
@@ -142,15 +138,18 @@ def n_recursion(s: int, t: int, tol: float = 1e-12) -> float:
 
     N(s,t)=1 at s=1 or t=2; otherwise the common value where the increasing
     map x^s * N(s,t-1) crosses the decreasing map (1-x)^(s-1) * N(s-1,t),
-    found by bisection. Values are memoized per (s,t,tol). Double precision
-    with per-level bisection error ~tol compounds across the recursion but
-    stays far below 1e-9 relative for s,t <= 20.
+    found by bisection. Each call fills its own table bottom-up, in
+    (s-1)(t-2) bisections and one row of memory. Double precision with
+    per-level bisection error ~tol compounds across the recursion but stays
+    far below 1e-9 relative for s,t <= 20.
     """
     if s < 1 or t < 2:
         raise ValueError(f"need s >= 1 and t >= 2, got s={s}, t={t}")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return _n_rec(int(s), int(t), float(tol))
+    if s == 1 or t == 2:
+        return 1.0
+    return _n_table(int(s), int(t), float(tol))[1]
 
 
 def n_recursion_crossing(s: int, t: int, tol: float = 1e-12) -> tuple[float, float]:
@@ -163,10 +162,7 @@ def n_recursion_crossing(s: int, t: int, tol: float = 1e-12) -> tuple[float, flo
         raise ValueError("crossings exist only for s >= 2 and t >= 3")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    a = _n_rec(s, t - 1, float(tol))
-    b = _n_rec(s - 1, t, float(tol))
-    x, f, g = _bisect_crossing(s, a, b, float(tol))
-    return x, 0.5 * (f + g)
+    return _n_table(int(s), int(t), float(tol))
 
 
 def _xlogx(x: float) -> float:

@@ -60,7 +60,7 @@ class ColoringCertificate:
 
     def color_class(self, c: int) -> Graph:
         """The graph formed by edges of color c."""
-        return from_pairs(self.n, np.array(self.colors) == c)
+        return from_pairs(self.n, _color_array(self.colors) == c)
 
     def to_text(self) -> str:
         return (
@@ -73,6 +73,14 @@ class ColoringCertificate:
             f"attempts_used: {self.attempts_used}\n"
             f"colors: {','.join(map(str, self.colors))}\n"
         )
+
+
+def _color_array(colors) -> np.ndarray:
+    """colors as an exact array: int64 where numpy reads them as integers,
+    else an object array of the colours themselves, which compares them as
+    Python does (numpy reads colours at or beyond 2^63 as floats)."""
+    array = np.array(colors)
+    return array if array.dtype.kind == "i" else np.array(colors, dtype=object)
 
 
 def certificate_from_text(text: str) -> ColoringCertificate:
@@ -103,8 +111,8 @@ def certificate_from_text(text: str) -> ColoringCertificate:
         try:
             array = np.array(entries, dtype=np.int64)  # converts each entry as int() does
         except (ValueError, OverflowError):
-            array = None  # int() then accepts the entries, or names the first it cannot read
-        colors = tuple(int(c) for c in entries) if array is None else tuple(array.tolist())
+            array = _color_array([int(c) for c in entries])  # int() names the first entry it cannot read
+        colors = tuple(array.tolist())
     except ValueError as exc:
         raise CertificateFormatError(f"non-integer field: {exc}") from None
     cert = ColoringCertificate(n, ell, t, colors, fields["base_graph"], seed, attempts_used)
@@ -112,9 +120,9 @@ def certificate_from_text(text: str) -> ColoringCertificate:
     return cert
 
 
-def _check_shape(cert: ColoringCertificate, colors: np.ndarray | None = None) -> None:
-    """Check the header and the colours against each other. colors, where
-    given, is cert.colors as an integer array, range-checked at once."""
+def _check_shape(cert: ColoringCertificate, colors: np.ndarray) -> None:
+    """Check the header and the colours against each other. colors is
+    cert.colors as an exact array, range-checked at once."""
     if cert.n < 1 or cert.ell < 2 or cert.t < 2:
         raise CertificateFormatError(
             f"need n >= 1, ell >= 2, t >= 2; got n={cert.n}, ell={cert.ell}, t={cert.t}"
@@ -124,11 +132,6 @@ def _check_shape(cert: ColoringCertificate, colors: np.ndarray | None = None) ->
         raise CertificateFormatError(
             f"color array has {len(cert.colors)} entries, expected {expected}"
         )
-    if colors is None:
-        for c in cert.colors:
-            if not 1 <= c <= cert.ell:
-                raise CertificateFormatError(f"color {c} outside 1..{cert.ell}")
-        return
     bad = (colors < 1) | (colors > cert.ell)
     if bad.any():
         raise CertificateFormatError(f"color {colors[bad.argmax()]} outside 1..{cert.ell}")
@@ -155,8 +158,8 @@ def verify_certificate(cert: ColoringCertificate) -> VerifyResult:
     """Check the class of every color in the array for a K_t, independently
     of how the certificate was produced. Returns the first violating color
     and a clique witness on failure."""
-    colors = np.array(cert.colors)
-    _check_shape(cert, colors if colors.dtype.kind == "i" else None)
+    colors = _color_array(cert.colors)
+    _check_shape(cert, colors)
     # an absent colour has an edgeless class, which holds no K_t for t >= 2
     return _verify_classes(colors, cert.n, cert.t, sorted(set(cert.colors)))
 

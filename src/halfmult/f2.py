@@ -74,7 +74,9 @@ def build_cf_graph(t: int, *, budget: int = GRAPH_VERTEX_BUDGET) -> Graph:
     """Graph on all vectors of F2^(t-2): edge iff the symplectic form is 1.
 
     For even t this graph has no clique of size t, which is what makes it
-    useful as an explicit half-multiplicity construction.
+    useful as an explicit half-multiplicity construction. Each row is built
+    from an earlier one by one XOR: adj[u] = adj[u ^ e_i] ^ row(e_i), with
+    e_i the lowest set bit of u.
     """
     if t % 2 or t < 4:
         raise ValueError(f"t must be even and >= 4, got {t}")
@@ -82,16 +84,15 @@ def build_cf_graph(t: int, *, budget: int = GRAPH_VERTEX_BUDGET) -> Graph:
     n = 1 << dim
     if n > budget:
         raise ValueError(f"2^(t-2) = {n} exceeds the vertex budget {budget}")
-    # row(w) = {x : w.x = 1} is linear in w, and row(e_i) is coord[i], the
-    # bitset of vectors with coordinate i set; the form is u.x with u's
-    # paired coordinates swapped.
+    # The row of u, {x : form(u,x) = 1}, is linear in u. The form pairs
+    # coordinate i with i ^ 1, so row(e_i) is coord[i ^ 1], the bitset of
+    # vectors with coordinate i ^ 1 set.
     full = (1 << n) - 1
     coord = [full // ((1 << (2 << i)) - 1) * (((1 << (1 << i)) - 1) << (1 << i)) for i in range(dim)]
-    rows = [0] * n
-    for w in range(1, n):
-        low = w & -w
-        rows[w] = rows[w ^ low] ^ coord[low.bit_length() - 1]
-    adj = [rows[_swap_pairs(u, dim)] for u in range(n)]
+    adj = [0] * n
+    for u in range(1, n):
+        low = u & -u
+        adj[u] = adj[u ^ low] ^ coord[(low.bit_length() - 1) ^ 1]
     return Graph(n, tuple(adj))
 
 

@@ -217,24 +217,6 @@ def _expand(
         cand &= ~(1 << v)
 
 
-def _clique_in(adj, cand: int, k: int) -> tuple[int, ...] | None:
-    """A clique of at least k vertices inside the bitset cand, or None;
-    adj[v] is the neighbour bitset of v.
-
-    The mask-level entry to the branch and bound: k <= 0 gives the empty
-    clique and k = 1 the lowest candidate, without a search.
-    """
-    if k <= 0:
-        return ()
-    if cand.bit_count() < k:
-        return None
-    if k == 1:
-        return ((cand & -cand).bit_length() - 1,)
-    best: list = [k - 1, None]
-    _expand(adj, _complements(adj), cand, [], best, k)
-    return best[1]
-
-
 # Rows relabelled per numpy step; a step holds two blocks of _RELABEL_ROWS * n
 # bytes, so 32 MB at n = 2^14.
 _RELABEL_ROWS = 1 << 10
@@ -278,10 +260,11 @@ def find_clique(g: Graph, t: int) -> tuple[int, ...] | None:
     if f2_rank(g.adj, stop=t - 1) < t - 1:
         return None
     order, adj = _by_degree(g)
-    found = _clique_in(adj, (1 << g.n) - 1, t)
-    if found is None:
+    best: list = [t - 1, None]
+    _expand(adj, _complements(adj), (1 << g.n) - 1, [], best, t)
+    if best[1] is None:
         return None
-    witness = tuple(sorted(order[i] for i in found))[:t]
+    witness = tuple(sorted(order[i] for i in best[1]))[:t]
     for i in range(t):
         for j in range(i + 1, t):
             if not g.has_edge(witness[i], witness[j]):

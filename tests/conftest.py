@@ -265,3 +265,35 @@ def oracle_first_clique(g: Graph, t: int | None = None) -> tuple[int, ...] | Non
     if best[1] is None:
         return () if t is None else None
     return tuple(sorted(order[i] for i in best[1]))[: t or None]
+
+
+def oracle_n_recursion(s_max: int, t_max: int, tol: float = 1e-12) -> dict:
+    """{(s, t): (x*, N(s,t))} for 1 <= s <= s_max and 2 <= t <= t_max, by the
+    top-down recursion with a memo local to the call; x* is None at the base
+    cases s = 1 or t = 2, where N is 1."""
+    memo: dict = {}
+
+    def crossing(s: int, t: int) -> tuple[float | None, float]:
+        if s == 1 or t == 2:
+            return None, 1.0
+        if (s, t) not in memo:
+            a = crossing(s, t - 1)[1]
+            b = crossing(s - 1, t)[1]
+            lo, hi = 0.0, 1.0
+            x = f = g = 0.0
+            for _ in range(200):
+                x = 0.5 * (lo + hi)
+                if x == lo or x == hi:
+                    break
+                f = x**s * a
+                g = (1.0 - x) ** (s - 1) * b
+                if abs(f - g) <= tol * max(f, g):
+                    break
+                if f < g:
+                    lo = x
+                else:
+                    hi = x
+            memo[s, t] = (x, 0.5 * (f + g))
+        return memo[s, t]
+
+    return {(s, t): crossing(s, t) for s in range(1, s_max + 1) for t in range(2, t_max + 1)}

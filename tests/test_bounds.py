@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,8 @@ from halfmult.bounds import (
     stationarity_residual,
 )
 from halfmult.errors import RamseyTableError
+
+from conftest import oracle_n_recursion
 
 LN2 = math.log(2.0)
 
@@ -115,6 +118,25 @@ def test_n_recursion_crossing_residual():
         f = x**s * a
         g = (1 - x) ** (s - 1) * b
         assert abs(f - g) <= tol * value
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6])
+def test_n_recursion_matches_the_recursive_oracle(tol):
+    # the table and the top-down recursion bisect every cell on the same inputs
+    for (s, t), (x, value) in oracle_n_recursion(29, 29, tol).items():
+        assert n_recursion(s, t, tol) == value
+        if x is not None:
+            assert n_recursion_crossing(s, t, tol) == (x, value)
+
+
+def test_n_recursion_keeps_no_memory():
+    tracemalloc.start()
+    try:
+        n_recursion(20000, 3)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 100_000  # bytes; a memo of every cell would keep several MB
 
 
 def test_n_binomial_examples():

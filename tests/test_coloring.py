@@ -254,6 +254,22 @@ def test_colours_parse_as_int_reads_them():
         verify_certificate(ColoringCertificate(3, 2, 3, (1, 2**63, 1), "none", 0, 0))
 
 
+def test_colours_beyond_int64_are_told_apart():
+    # numpy reads 2^63 and 2^63 + 1 as one float; the triangle 0,1,2 has both
+    colors = [0] * 6
+    for (u, v), c in {(0, 1): 2**63, (1, 2): 2**63, (0, 2): 2**63 + 1, (0, 3): 1, (1, 3): 1, (2, 3): 1}.items():
+        colors[pair_index(u, v, 4)] = c
+    cert = ColoringCertificate(4, 2**64, 3, tuple(colors), "none", 0, 0)
+    parsed = certificate_from_text(cert.to_text())
+    assert parsed == cert
+    assert verify_certificate(cert).valid and verify_certificate(parsed).valid
+    for c in (1, 2**63, 2**63 + 1):
+        assert cert.color_class(c) == oracle_color_class(cert, c)
+    assert cert.color_class(2**63).edge_count == 2
+    with pytest.raises(CertificateFormatError, match=f"color {2**64 + 1} outside 1..{2**64}"):
+        verify_certificate(ColoringCertificate(4, 2**64, 3, (1, 2**63, 2**64 + 1, 1, 1, 1), "none", 0, 0))
+
+
 def test_sizing_examples():
     assert sizing(5, 2, 1.0) == 4
     assert sizing(5, 2, 0.37) == 4  # ell=2 ignores p_value
