@@ -7,6 +7,7 @@ and graph6 interchange.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,7 +186,7 @@ def _complements(adj: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _expand(
-    adj: tuple[int, ...], nonadj: tuple[int, ...], cand: int, current: list[int], best: list, stop_at: int | None
+    adj: tuple[int, ...], nonadj: tuple[int, ...], cand: int, current: list[int], best: list, stop_at: int
 ) -> None:
     if len(current) + cand.bit_count() <= best[0]:
         return  # cheaper than colouring, and never looser: colours <= candidates
@@ -197,7 +198,7 @@ def _expand(
     # than best. Twins, vertices with equal rows, meet this at every level.
     explored = set()
     for i in range(len(order) - 1, -1, -1):
-        if stop_at is not None and best[0] >= stop_at:
+        if best[0] >= stop_at:
             return
         if len(current) + bounds[i] <= best[0]:
             return
@@ -237,10 +238,16 @@ def _by_degree(g: Graph) -> tuple[list[int], tuple[int, ...]]:
 
 
 def max_clique_size(g: Graph) -> int:
-    """Clique number, by branch and bound with coloring bounds."""
-    _, adj = _by_degree(g)
+    """Clique number, by branch and bound with coloring bounds.
+
+    A k-clique forces F2 rank and maximum degree at least k - 1, so the
+    search ends at a clique of size min(rank, max degree) + 1, and the
+    elimination stops at the max degree.
+    """
+    order, adj = _by_degree(g)
+    bound = f2_rank(g.adj, stop=g.degree(order[0]) if g.n else 0) + 1
     best: list = [0, None]
-    _expand(adj, _complements(adj), (1 << g.n) - 1, [], best, None)
+    _expand(adj, _complements(adj), (1 << g.n) - 1, [], best, bound)
     return best[0]
 
 
@@ -303,6 +310,7 @@ _BLOCK_CHILDREN = 1 << 15
 _M1, _M2, _M4, _H01 = (
     np.uint64(c) for c in (0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101)
 )
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd: folds a row's words into one sort key
 
 
 def _popcounts(rows: np.ndarray) -> np.ndarray:
@@ -314,16 +322,36 @@ def _popcounts(rows: np.ndarray) -> np.ndarray:
     return ((x * _H01) >> np.uint64(56)).sum(axis=1, dtype=np.int64)
 
 
+def _merge_equal(rows: np.ndarray, mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (m, w) uint64 array, each with the summed
+    multiplicity of its copies.
+
+    Rows are sorted by their words folded into one uint64 key, which is the
+    row itself when w = 1. Runs end wherever whole rows differ, so rows
+    whose keys collide stay apart at worst: a lost merge, never a wrong count.
+    """
+    key = rows[:, 0]
+    for j in range(1, rows.shape[1]):
+        key = key * _MIX + rows[:, j]  # wraps modulo 2^64
+    order = np.argsort(key)
+    rows = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))))
+    return rows[starts], np.add.reduceat(mults[order], starts)
+
+
 def _count_cliques_by_size(adj: tuple[int, ...], n: int, kmax: int) -> list[int]:
     """counts[k] = number of k-cliques for k = 0..kmax, as Python ints.
 
-    A clique on k vertices is a row of ceil(n/64) words holding its
-    candidates: the vertices above its last vertex adjacent to all of it.
-    Its children are the pairs (row, v) for v a candidate, with candidates
-    row & above[v], so a row's child count is its popcount and the last
-    level is counted without being built. Rows run depth-first in blocks
-    of about _BLOCK_CHILDREN children, which bounds memory whatever n and
-    kmax are.
+    A partial clique is summed up by its candidates, the vertices above its
+    last vertex adjacent to all of it, held as a row of ceil(n/64) words;
+    cliques with equal candidates have equal extensions. So each level
+    holds distinct candidate rows, each with its multiplicity: the number
+    of partial cliques that lead to it. A row's children are the pairs
+    (row, v) for v a candidate, with candidates row & above[v]; equal
+    children are merged and their multiplicities summed. A row stands for
+    popcount * multiplicity cliques one level up, so the last level is
+    counted without being built. Rows run depth-first in blocks of about
+    _BLOCK_CHILDREN children, which bounds memory whatever n and kmax are.
     """
     counts = [1] + [0] * kmax
     if kmax == 0 or n == 0:
@@ -331,25 +359,30 @@ def _count_cliques_by_size(adj: tuple[int, ...], n: int, kmax: int) -> list[int]
     w = (n + 63) // 64
     above = _pack([row >> (v + 1) << (v + 1) for v, row in enumerate(adj)], 8 * w).view("<u8")
     root = _pack([(1 << n) - 1], 8 * w).view("<u8")
-    pending = [(0, root, np.array([n]))]  # (level, rows, their popcounts), all rows non-empty
+    # Every multiplicity and count is at most C(n, k) for some k <= kmax;
+    # past int64 they are Python ints in an object array.
+    exact = np.int64 if math.comb(n, min(kmax, n // 2)) < 2**63 else object
+    pending = [(0, root, np.ones(1, dtype=exact), np.array([n]))]  # (level, rows, mults, popcounts); rows non-empty
     while pending:
-        level, rows, sizes = pending.pop()
+        level, rows, mults, sizes = pending.pop()
         take = max(1, int(np.searchsorted(np.cumsum(sizes), _BLOCK_CHILDREN, side="right")))
         if take < len(rows):
-            pending.append((level, rows[take:], sizes[take:]))
-        bits = np.unpackbits(rows[:take].view(np.uint8), axis=1, count=n, bitorder="little")
-        parent, v = np.divmod(np.flatnonzero(bits.view(bool)), n)
-        counts[level + 1] += len(v)
+            pending.append((level, rows[take:], mults[take:], sizes[take:]))
+        rows, mults, sizes = rows[:take], mults[:take], sizes[:take]
+        counts[level + 1] += int((sizes * mults).sum())
         if level + 1 == kmax:
             continue
-        children = rows[parent] & above[v]
-        sizes = _popcounts(children)
+        bits = np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little")
+        parent = np.repeat(np.arange(take), sizes)  # flatnonzero lists each row's set bits in turn
+        v = np.flatnonzero(bits.view(bool)) - parent * n
+        children, mults = rows[parent] & above[v], mults[parent]
         if level + 2 == kmax:
-            counts[kmax] += int(sizes.sum())
+            counts[kmax] += int((_popcounts(children) * mults).sum())
             continue
-        keep = sizes > 0
+        keep = children.any(axis=1)
         if keep.any():
-            pending.append((level + 1, children[keep], sizes[keep]))
+            rows, mults = _merge_equal(children[keep], mults[keep])
+            pending.append((level + 1, rows, mults, _popcounts(rows)))
     return counts
 
 

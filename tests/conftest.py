@@ -66,6 +66,47 @@ def oracle_independent_subset_counts(g: Graph, kmax: int) -> list[int]:
     return counts
 
 
+def oracle_count_cliques_by_size(adj: tuple[int, ...], n: int, kmax: int) -> list[int]:
+    """counts[k] = number of k-cliques for k = 0..kmax, by the per-set kernel:
+    every clique of size below kmax is its own row of ceil(n/64) words holding
+    its candidates, the vertices above its last vertex adjacent to all of it,
+    with no two rows merged. Rows run depth-first in blocks of about 2^15
+    children."""
+    counts = [1] + [0] * kmax
+    if kmax == 0 or n == 0:
+        return counts
+    w = (n + 63) // 64
+
+    def words(rows):
+        data = b"".join(row.to_bytes(8 * w, "little") for row in rows)
+        return np.frombuffer(data, dtype="<u8").reshape(len(rows), w)
+
+    def popcounts(rows):
+        return np.unpackbits(rows.view(np.uint8), axis=1).sum(axis=1, dtype=np.int64)
+
+    above = words([row >> (v + 1) << (v + 1) for v, row in enumerate(adj)])
+    pending = [(0, words([(1 << n) - 1]), np.array([n]))]  # (level, rows, their popcounts), all rows non-empty
+    while pending:
+        level, rows, sizes = pending.pop()
+        take = max(1, int(np.searchsorted(np.cumsum(sizes), 1 << 15, side="right")))
+        if take < len(rows):
+            pending.append((level, rows[take:], sizes[take:]))
+        bits = np.unpackbits(rows[:take].view(np.uint8), axis=1, count=n, bitorder="little")
+        parent, v = np.divmod(np.flatnonzero(bits.view(bool)), n)
+        counts[level + 1] += len(v)
+        if level + 1 == kmax:
+            continue
+        children = rows[parent] & above[v]
+        sizes = popcounts(children)
+        if level + 2 == kmax:
+            counts[kmax] += int(sizes.sum())
+            continue
+        keep = sizes > 0
+        if keep.any():
+            pending.append((level + 1, children[keep], sizes[keep]))
+    return counts
+
+
 def oracle_ktfree_graphs(n: int, t: int | None) -> list[Graph]:
     """Labeled K_t-free graphs on n vertices, in pair-slot order.
 

@@ -30,6 +30,7 @@ from halfmult.graphs import (
 
 from conftest import (
     oracle_by_degree,
+    oracle_count_cliques_by_size,
     oracle_first_clique,
     oracle_from_graph6,
     oracle_has_clique,
@@ -182,6 +183,31 @@ def test_clique_number_at_most_rank_plus_one():
         assert omega <= f2_rank(g.adj) + 1
         for t in range(2, g.n + 2):
             assert (find_clique(g, t) is not None) == (omega >= t)
+
+
+def test_max_clique_size_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    cases = [sample_er_graph(n, p, seed) for n, p in ((12, 0.5), (30, 0.3), (40, 0.6), (60, 0.2)) for seed in range(5)]
+    cases += [build_cf_graph(6), build_cf_graph(8)]
+    for g in cases:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from((u, v) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v))
+        omega = max(len(c) for c in nx.find_cliques(h))
+        assert nx.max_weight_clique(h, weight=None)[1] == omega
+        assert max_clique_size(g) == omega
+
+
+def test_clique_number_search_stops_at_rank_plus_one(monkeypatch):
+    # cf:t has F2 rank t - 2 and a (t-1)-clique, so the search ends on the
+    # first branch that reaches t - 1, one _expand call per level
+    calls = []
+    expand = graphs._expand
+    monkeypatch.setattr(graphs, "_expand", lambda *args: calls.append(1) or expand(*args))
+    for t in (6, 8, 10):
+        calls.clear()
+        assert max_clique_size(build_cf_graph(t)) == t - 1
+        assert len(calls) == t - 1
 
 
 def test_f2_rank_stops_at_the_given_rank():
@@ -364,6 +390,70 @@ def test_counting_kernel_in_blocks_of_one_row(monkeypatch):
     for n, kmax, seed in ((9, 9, 1), (20, 6, 2), (65, 3, 3)):
         g = sample_er_graph(n, 0.3, seed)
         assert list(independence_profile(g, kmax, budget=65).counts) == oracle_independent_subset_counts(g, kmax)
+
+
+def _per_set_counts(g: Graph, kmax: int) -> list[int]:
+    return oracle_count_cliques_by_size(complement(g).adj, g.n, kmax)
+
+
+def test_merged_kernel_matches_the_per_set_kernel_on_benchmark_shapes():
+    from perfbench.workloads import ER_EXACT, er_edges  # the benchmark's own exact-counting graphs
+
+    shapes = [(n, pct, s) for n, pct, s, _ in ER_EXACT if n in (32, 48, 64) and s in (6, 8)]
+    assert len(shapes) == 9
+    for n, pct, s in shapes:
+        for seed in (0, 1):
+            g = from_edges(n, er_edges(n, pct, seed))
+            assert list(independence_profile(g, s).counts) == _per_set_counts(g, s)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_merged_kernel_matches_the_per_set_kernel_across_word_sizes(n):
+    for seed, p in enumerate((0.3, 0.6, 0.9)):
+        g = sample_er_graph(n, p, 7000 + 10 * n + seed)
+        assert list(independence_profile(g, 6, budget=65).counts) == _per_set_counts(g, 6)
+
+
+def test_merged_kernel_in_blocks_of_one_row(monkeypatch):
+    # every block is one distinct row, so nothing merges across parents
+    monkeypatch.setattr(graphs, "_BLOCK_CHILDREN", 1)
+    for n, p, kmax, seed in ((16, 0.2, 9, 1), (40, 0.3, 5, 2), (64, 0.5, 5, 3), (65, 0.4, 4, 4), (70, 0.8, 40, 5)):
+        g = sample_er_graph(n, p, seed)
+        assert list(independence_profile(g, kmax, budget=70).counts) == _per_set_counts(g, kmax)
+
+
+@pytest.mark.parametrize("n", [1, 10, 33, 64, 65])
+def test_merged_kernel_on_edgeless_and_complete(n):
+    kmax = min(n + 1, 5)
+    for g in (edgeless(n), complete(n)):
+        assert list(independence_profile(g, kmax, budget=65).counts) == _per_set_counts(g, kmax)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3])
+def test_merge_equal_sums_the_multiplicities_of_equal_rows(w):
+    rng = np.random.default_rng(w)
+    distinct = rng.integers(0, 2**64, size=(40, w), dtype=np.uint64)
+    distinct[20:, 0] = distinct[:20, 0]  # pairs that differ only past the first word
+    rows = distinct[rng.integers(0, 40, size=300)]
+    mults = rng.integers(1, 1000, size=300)
+    expected: dict = {}
+    for row, mult in zip(map(tuple, rows.tolist()), mults.tolist()):
+        expected[row] = expected.get(row, 0) + mult
+    merged, sums = graphs._merge_equal(rows, mults)
+    assert dict(zip(map(tuple, merged.tolist()), sums.tolist())) == expected
+    assert len(merged) == len(expected)
+
+
+def test_counts_past_int64_are_exact():
+    # C(70, 35) > 2^63: multiplicities and counts are Python ints here
+    prof = independence_profile(edgeless(70), 40, budget=70)
+    assert prof.counts == tuple(math.comb(70, k) for k in range(41))
+    assert all(type(c) is int for c in prof.counts) and prof[35] > 2**63
+    for seed in (1, 2):
+        g = sample_er_graph(70, 0.75, seed)  # two words, with multiplicities in an object array
+        prof = independence_profile(g, 40, budget=70)
+        assert list(prof.counts) == _per_set_counts(g, 40)
+        assert all(type(c) is int for c in prof.counts)
 
 
 def test_independence_profile_hereditary_and_budget():
