@@ -45,6 +45,11 @@ def stationarity_residual(p: float, s: float, t: float) -> float:
     )
 
 
+def _check_tol(tol: float) -> None:
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
+
+
 def optimize_p(s: float, t: float, tol: float = 1e-7) -> tuple[float, float]:
     """Minimize random_exponent over p in (0,1).
 
@@ -52,8 +57,7 @@ def optimize_p(s: float, t: float, tol: float = 1e-7) -> tuple[float, float]:
     plateaus), narrows by golden-section to width tol, then polishes by
     bisecting the stationarity residual. Returns (p_star, value at p_star).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     grid = [i / 1000.0 for i in range(1, 1000)]
     values = [random_exponent(p, s, t) for p in grid]
     i = min(range(len(grid)), key=lambda j: values[j])
@@ -145,8 +149,7 @@ def n_recursion(s: int, t: int, tol: float = 1e-12) -> float:
     """
     if s < 1 or t < 2:
         raise ValueError(f"need s >= 1 and t >= 2, got s={s}, t={t}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     if s == 1 or t == 2:
         return 1.0
     return _n_table(int(s), int(t), float(tol))[1]
@@ -160,8 +163,7 @@ def n_recursion_crossing(s: int, t: int, tol: float = 1e-12) -> tuple[float, flo
     """
     if s < 2 or t < 3:
         raise ValueError("crossings exist only for s >= 2 and t >= 3")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     return _n_table(int(s), int(t), float(tol))
 
 

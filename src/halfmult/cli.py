@@ -5,6 +5,10 @@ reproduction command line; numeric payloads are byte-identical across
 reruns. --json swaps the human table for one JSON object with stable keys.
 Exit codes: 0 success/valid, 1 domain error or invalid result, 2 usage or
 format/IO error.
+
+Each call builds only the parser of the subcommand it runs; help, a missing
+command and an unknown one build them all. A new command is one _COMMANDS
+entry: its help text and a function that adds its arguments and func.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import os
 import shlex
 import sys
 import time
+from collections.abc import Sequence
 from fractions import Fraction
 
 from . import __version__
@@ -106,13 +111,15 @@ def _ramsey_table(path: str | None) -> KnownRamseyTable:
 
 
 def _parse_prob(text: str):
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
+    try:
+        if "/" in text:
+            num, _, den = text.partition("/")
             return Fraction(int(num), int(den))
-        except ZeroDivisionError:
-            raise FormatError(f"--p-value {text} has a zero denominator") from None
-    return float(text)
+        return float(text)
+    except ZeroDivisionError:
+        raise FormatError(f"--p-value {text} has a zero denominator") from None
+    except ValueError:
+        raise FormatError(f"--p-value {text} is neither NUM/DEN nor a float") from None
 
 
 def _cmd_cf(args) -> int:
@@ -326,48 +333,42 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="halfmult",
-        description="Half-multiplicity Ramsey toolkit: probabilities, bounds, and colorings.",
-    )
-    parser.add_argument("--version", action="version", version=f"halfmult {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine-readable output")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cf", parents=[common], help="build the symplectic graph")
+def _args_cf(p) -> None:
     p.add_argument("--t", type=int, required=True, help="even clique bound; 2^(t-2) vertices")
     p.add_argument("--count-isotropic", type=int, default=None, metavar="K")
     p.add_argument("--out", help="write the graph as graph6")
     p.set_defaults(func=_cmd_cf)
 
-    p = sub.add_parser("graph", help="sample or query graphs")
-    gsub = p.add_subparsers(dest="graph_command", required=True)
-    ps = gsub.add_parser("sample", parents=[common], help="seeded Erdos-Renyi sample")
-    ps.add_argument("--n", type=int, required=True)
-    ps.add_argument("--p", type=float, required=True)
-    ps.add_argument("--seed", type=int, required=True)
-    ps.add_argument("--out")
-    ps.set_defaults(func=_cmd_graph_sample)
-    pc = gsub.add_parser("clique", parents=[common], help="clique search")
-    pc.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    pc.add_argument("--t", type=int, required=True)
-    pc.set_defaults(func=_cmd_graph_clique)
 
-    p = sub.add_parser("exact", parents=[common], help="exact independence probability")
+def _args_graph_sample(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--p", type=float, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--out")
+    p.set_defaults(func=_cmd_graph_sample)
+
+
+def _args_graph_clique(p) -> None:
+    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
+    p.add_argument("--t", type=int, required=True)
+    p.set_defaults(func=_cmd_graph_clique)
+
+
+def _args_exact(p) -> None:
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--s", type=int, required=True)
     p.set_defaults(func=_cmd_exact)
 
-    p = sub.add_parser("estimate", parents=[common], help="Monte Carlo estimate")
+
+def _args_estimate(p) -> None:
     p.add_argument("--in", dest="infile", required=True, metavar="FILE")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("bounds", parents=[common], help="bound battery for one (s,t)")
+
+def _args_bounds(p) -> None:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--ell", type=int, default=None)
@@ -375,20 +376,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p-value", metavar="NUM/DEN|FLOAT", help="upper bound on P(t,t) for the multicolor bound")
     p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("optimize-p", parents=[common], help="minimize the random exponent")
+
+def _args_optimize_p(p) -> None:
     p.add_argument("--s", type=int)
     p.add_argument("--t", type=int)
     p.add_argument("--s-equals-t", action="store_true", help="normalized diagonal rate")
     p.add_argument("--tol", type=float, default=1e-7)
     p.set_defaults(func=_cmd_optimize_p)
 
-    p = sub.add_parser("nrec", parents=[common], help="neighborhood recursion N(s,t)")
+
+def _args_nrec(p) -> None:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.set_defaults(func=_cmd_nrec)
 
-    p = sub.add_parser("color", parents=[common], help="construct a coloring certificate")
+
+def _args_color(p) -> None:
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
@@ -398,11 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="CERT.txt")
     p.set_defaults(func=_cmd_color)
 
-    p = sub.add_parser("verify", parents=[common], help="verify a coloring certificate")
+
+def _args_verify(p) -> None:
     p.add_argument("certificate", metavar="CERT.txt")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("search", parents=[common], help="restricted minimum over K_t-free graphs")
+
+def _args_search(p) -> None:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--max-n", type=int, required=True)
@@ -410,13 +416,61 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness-out", metavar="FILE.g6")
     p.set_defaults(func=_cmd_search)
 
+
+# name -> (help, leaf argument function | nested table). A leaf also gets --json.
+_COMMANDS = {
+    "cf": ("build the symplectic graph", _args_cf),
+    "graph": (
+        "sample or query graphs",
+        {
+            "sample": ("seeded Erdos-Renyi sample", _args_graph_sample),
+            "clique": ("clique search", _args_graph_clique),
+        },
+    ),
+    "exact": ("exact independence probability", _args_exact),
+    "estimate": ("Monte Carlo estimate", _args_estimate),
+    "bounds": ("bound battery for one (s,t)", _args_bounds),
+    "optimize-p": ("minimize the random exponent", _args_optimize_p),
+    "nrec": ("neighborhood recursion N(s,t)", _args_nrec),
+    "color": ("construct a coloring certificate", _args_color),
+    "verify": ("verify a coloring certificate", _args_verify),
+    "search": ("restricted minimum over K_t-free graphs", _args_search),
+}
+
+
+def _add_commands(parser, table: dict, dest: str, argv: Sequence[str]) -> None:
+    """Add the subparser argv[0] names, or every subparser of the table when
+    it names none, so that help and choice errors list them all."""
+    names, rest, kwargs = list(table), (), {}
+    if argv and argv[0] in table:
+        names, rest = argv[:1], argv[1:]
+        kwargs["metavar"] = "{" + ",".join(table) + "}"  # keeps the usage line whole
+    sub = parser.add_subparsers(dest=dest, required=True, **kwargs)
+    for name in names:
+        help_text, spec = table[name]
+        p = sub.add_parser(name, help=help_text)
+        if isinstance(spec, dict):
+            _add_commands(p, spec, f"{name}_command", rest)
+        else:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+            spec(p)
+
+
+def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
+    """The parser for argv: its chosen subcommand only, or every subcommand
+    when argv names none (as with no argument)."""
+    parser = argparse.ArgumentParser(
+        prog="halfmult",
+        description="Half-multiplicity Ramsey toolkit: probabilities, bounds, and colorings.",
+    )
+    parser.add_argument("--version", action="version", version=f"halfmult {__version__}")
+    _add_commands(parser, _COMMANDS, "command", argv)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     args._argv = argv
     try:
         code = args.func(args)

@@ -174,6 +174,8 @@ def min_independence_prob(
     """
     if s < 1:
         raise ValueError("s must be at least 1")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     _check_scope(n_max, t, budget)
     if dedup_iso and n_max > ISOMORPHISM_KEY_LIMIT:
         raise BudgetError(

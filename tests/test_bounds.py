@@ -98,6 +98,14 @@ def test_n_recursion_validation():
         n_recursion(2, 3, tol=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, 0.0, -1e-9])
+def test_tol_must_be_positive_and_finite(tol):
+    # an infinite tol used to stop the bisections at once and return a wrong N(5,5)
+    for call in (n_recursion, n_recursion_crossing, optimize_p):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            call(5, 5, tol)
+
+
 def test_n_recursion_monotone_grid():
     grid = {(s, t): n_recursion(s, t) for s in range(1, 11) for t in range(2, 11)}
     for s in range(1, 11):

@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import halfmult
-from halfmult.cli import main
+from halfmult.cli import build_parser, main
 from halfmult.graphs import from_graph6
 
 
@@ -279,6 +281,15 @@ def test_cf_spec_with_odd_t_is_domain_error(capsys):
         (["bounds", "--s", "4", "--t", "4", "--ramsey-table", "{not_int}"], 2),
         (["bounds", "--s", "4", "--t", "4", "--ramsey-table", "{not_utf8}"], 2),
         (["bounds", "--s", "3", "--t", "3", "--p-value", "1/2"], 2),
+        (["bounds", "--s", "3", "--t", "3", "--ell", "3", "--p-value", "abc"], 2),
+        (["bounds", "--s", "3", "--t", "3", "--ell", "3", "--p-value", "x/2"], 2),
+        (["bounds", "--s", "3", "--t", "3", "--ell", "3", "--p-value", "1/x"], 2),
+        (["nrec", "--s", "5", "--t", "5", "--tol", "inf"], 1),
+        (["nrec", "--s", "5", "--t", "5", "--tol", "nan"], 1),
+        (["optimize-p", "--s", "2", "--t", "3", "--tol", "inf"], 1),
+        (["optimize-p", "--s-equals-t", "--tol", "nan"], 1),
+        (["search", "--s", "2", "--t", "3", "--max-n", "0"], 1),
+        (["search", "--s", "2", "--t", "3", "--max-n", "-1"], 1),
     ],
     ids=[
         "p-value-zero-denominator",
@@ -289,6 +300,15 @@ def test_cf_spec_with_odd_t_is_domain_error(capsys):
         "ramsey-table-non-integer",
         "ramsey-table-not-utf8",
         "p-value-without-ell",
+        "p-value-not-a-number",
+        "p-value-bad-numerator",
+        "p-value-bad-denominator",
+        "nrec-tol-inf",
+        "nrec-tol-nan",
+        "optimize-p-tol-inf",
+        "optimize-p-tol-nan",
+        "search-max-n-zero",
+        "search-max-n-negative",
     ],
 )
 def test_bad_inputs_exit_cleanly(capsys, tmp_path, argv, expected):
@@ -301,6 +321,19 @@ def test_bad_inputs_exit_cleanly(capsys, tmp_path, argv, expected):
     assert code == expected
     assert out == ""
     assert "Traceback" not in err and err.startswith(("format error", "io error", "error"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nrec", "--s", "5", "--t", "5", "--tol", "inf", "--json"], "error: tol must be positive and finite\n"),
+        (["optimize-p", "--s-equals-t", "--tol", "nan"], "error: tol must be positive and finite\n"),
+        (["bounds", "--s", "3", "--t", "3", "--ell", "3", "--p-value", "x/2"], "format error: --p-value x/2 is neither NUM/DEN nor a float\n"),
+        (["search", "--s", "2", "--t", "3", "--max-n", "0"], "error: n_max must be at least 1, got 0\n"),
+    ],
+)
+def test_bad_values_name_the_argument(capsys, argv, message):
+    assert run(capsys, *argv)[1:] == ("", message)
 
 
 @pytest.mark.parametrize("value", ["0", "2", "nan"])
@@ -413,6 +446,125 @@ def test_threads_flag_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert "usage:" in err and "--threads" in err
     assert "Traceback" not in err
+
+
+_LEAVES = [
+    ["cf"], ["graph", "sample"], ["graph", "clique"], ["exact"], ["estimate"], ["bounds"],
+    ["optimize-p"], ["nrec"], ["color"], ["verify"], ["search"],
+]
+
+
+def _leaf(parser, path):
+    for name in path:
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return parser
+
+
+@pytest.mark.parametrize("path", _LEAVES, ids=" ".join)
+def test_leaf_parser_alone_matches_the_full_tree(monkeypatch, path):
+    monkeypatch.setenv("COLUMNS", "80")
+    alone, full = _leaf(build_parser(path), path), _leaf(build_parser(), path)
+    assert alone.format_help() == full.format_help()
+    assert alone.format_usage() == full.format_usage()
+
+
+_USAGE = """usage: halfmult [-h] [--version]
+                {cf,graph,exact,estimate,bounds,optimize-p,nrec,color,verify,search}
+                ...
+"""
+_GRAPH_USAGE = "usage: halfmult graph [-h] {sample,clique} ...\n"
+_TOP_HELP = _USAGE + """
+Half-multiplicity Ramsey toolkit: probabilities, bounds, and colorings.
+
+positional arguments:
+  {cf,graph,exact,estimate,bounds,optimize-p,nrec,color,verify,search}
+    cf                  build the symplectic graph
+    graph               sample or query graphs
+    exact               exact independence probability
+    estimate            Monte Carlo estimate
+    bounds              bound battery for one (s,t)
+    optimize-p          minimize the random exponent
+    nrec                neighborhood recursion N(s,t)
+    color               construct a coloring certificate
+    verify              verify a coloring certificate
+    search              restricted minimum over K_t-free graphs
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["-h"], (0, _TOP_HELP, "")),
+        (["--version"], (0, f"halfmult {halfmult.__version__}\n", "")),
+        ([], (2, "", _USAGE + "halfmult: error: the following arguments are required: command\n")),
+        (
+            ["bogus"],
+            (
+                2,
+                "",
+                _USAGE + "halfmult: error: argument command: invalid choice: 'bogus' (choose from 'cf', "
+                "'graph', 'exact', 'estimate', 'bounds', 'optimize-p', 'nrec', 'color', 'verify', 'search')\n",
+            ),
+        ),
+        (["graph"], (2, "", _GRAPH_USAGE + "halfmult graph: error: the following arguments are required: graph_command\n")),
+        (
+            ["graph", "bogus"],
+            (
+                2,
+                "",
+                _GRAPH_USAGE + "halfmult graph: error: argument graph_command: invalid choice: 'bogus' "
+                "(choose from 'sample', 'clique')\n",
+            ),
+        ),
+        (["nrec", "--s", "3", "--t", "3", "extra"], (2, "", _USAGE + "halfmult: error: unrecognized arguments: extra\n")),
+    ],
+    ids=["help", "version", "no-command", "bogus", "graph", "graph-bogus", "extra"],
+)
+def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys, argv, expected):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out, out.err) == expected
+
+
+@pytest.fixture
+def parsers_built(monkeypatch):
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return built
+
+
+def test_each_readme_example_builds_one_leaf_parser(parsers_built):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = [shlex.split(line)[1:] for line in readme.read_text().splitlines() if line.startswith("halfmult ")]
+    assert len(examples) >= 8
+    for argv in examples:
+        parsers_built.clear()
+        args = build_parser(argv).parse_args(argv)
+        assert parsers_built == argv[:1] and callable(args.func), argv
+
+
+def test_main_builds_only_the_chosen_parsers(capsys, parsers_built):
+    assert main(["nrec", "--s", "3", "--t", "3", "--json"]) == 0
+    assert parsers_built == ["nrec"]
+    parsers_built.clear()
+    assert main(["graph", "sample", "--n", "5", "--p", "0.5", "--seed", "1", "--json"]) == 0
+    assert parsers_built == ["graph", "sample"]
+    parsers_built.clear()
+    build_parser()
+    assert len(parsers_built) == 12  # the ten commands and graph's two leaves
 
 
 # Small or malformed values only: every valid combination must finish in

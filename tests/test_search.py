@@ -206,6 +206,12 @@ def test_dedup_iso_refuses_relabeling_tables_past_ten_vertices():
         min_independence_prob(1, 2, 11, dedup_iso=True, budget=11)
 
 
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_min_independence_needs_a_vertex(n_max):
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        min_independence_prob(2, 3, n_max)
+
+
 def test_min_independence_counts_past_one_byte():
     # t = 2 leaves only the edgeless graphs, whose subset counts reach C(11,5) = 462
     r = min_independence_prob(8, 2, 12, budget=12)
