@@ -31,7 +31,7 @@ from .coloring import (
     verify_certificate,
 )
 from .errors import BudgetError, CertificateFormatError, FormatError, RamseyTableError
-from .f2 import build_cf_graph, count_isotropic_subspaces
+from .f2 import SymplecticSpace, build_cf_graph, cf_counts, cf_dimension, count_isotropic_subspaces
 from .graphs import (
     find_clique,
     from_graph6,
@@ -83,13 +83,17 @@ def _emit(args, payload: dict) -> None:
             print(f"{key}: {_fmt(value)}")
 
 
+def _cf_t(spec: str) -> int:
+    """t of a cf:<t> graph spec."""
+    try:
+        return int(spec[3:])
+    except ValueError:
+        raise FormatError(f"graph spec {spec!r} needs an integer after cf:") from None
+
+
 def _load_graph(spec: str):
     if spec.startswith("cf:"):
-        try:
-            t = int(spec[3:])
-        except ValueError:
-            raise FormatError(f"graph spec {spec!r} needs an integer after cf:") from None
-        return build_cf_graph(t), spec
+        return build_cf_graph(_cf_t(spec)), spec
     try:
         with open(spec, encoding="ascii") as fh:
             lines = fh.read().strip().splitlines()
@@ -123,17 +127,17 @@ def _parse_prob(text: str):
 
 
 def _cmd_cf(args) -> int:
-    g = build_cf_graph(args.t)
+    n, edges = cf_counts(args.t)  # the graph is built only to be written
     payload = {
         "t": args.t,
-        "vertices": g.n,
-        "edges": g.edge_count,
+        "vertices": n,
+        "edges": edges,
     }
     if args.count_isotropic is not None:
         payload["isotropic_dimension"] = args.count_isotropic
         payload["isotropic_count"] = count_isotropic_subspaces(args.t, args.count_isotropic)
     if args.out:
-        write_graph6_file(args.out, [g])
+        write_graph6_file(args.out, [build_cf_graph(args.t)])
         payload["out"] = args.out
     _emit(args, payload)
     return 0
@@ -178,13 +182,19 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    g, label = _load_graph(args.infile)
+    if args.infile.startswith("cf:"):
+        # the form answers every pair, so the 2^(t-2) rows are never built
+        g = SymplecticSpace(cf_dimension(_cf_t(args.infile)))
+        n, label = g.size, args.infile
+    else:
+        g, label = _load_graph(args.infile)
+        n = g.n
     est = mc_independence_prob(g, args.s, args.trials, args.seed)
     _emit(
         args,
         {
             "graph": label,
-            "n": g.n,
+            "n": n,
             "s": args.s,
             "trials": est.trials,
             "seed": est.seed,

@@ -96,7 +96,10 @@ def certificate_from_text(text: str) -> ColoringCertificate:
         if ":" not in line:
             raise CertificateFormatError(f"malformed line: {line!r}")
         key, _, value = line.partition(":")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise CertificateFormatError(f"repeated field '{key}'")
+        fields[key] = value.strip()
     required = ("n", "ell", "t", "base_graph", "seed", "attempts_used", "colors")
     for key in required:
         if key not in fields:

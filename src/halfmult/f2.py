@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BudgetError
 from .graphs import Graph, f2_rank  # f2_rank: the one elimination, shared with the clique proofs
 
@@ -32,8 +34,9 @@ def unpack_bits(value: int, dim: int) -> tuple[int, ...]:
     return tuple((value >> i) & 1 for i in range(dim))
 
 
-def _swap_pairs(v: int, dim: int) -> int:
-    """Exchange coordinates 2i and 2i+1; helper for the standard form."""
+def _swap_pairs(v, dim: int):
+    """Exchange coordinates 2i and 2i+1 of an int or an integer array;
+    helper for the standard form."""
     even = sum(1 << i for i in range(0, dim, 2))
     return ((v & even) << 1) | ((v >> 1) & even)
 
@@ -61,6 +64,19 @@ class SymplecticSpace:
         self.check_vector(v)
         return (_swap_pairs(u, self.dim) & v).bit_count() & 1
 
+    def adjacent(self, u, v) -> np.ndarray:
+        """Whether form(u, v) = 1, for a vector index u and an index array v,
+        or two index arrays of one shape (unchecked, as graphs.adjacent is).
+        It is the parity of popcount(swap_pairs(u) & v), folded in place,
+        with no table: folding by the powers of two below dim brings the
+        parity of all dim bits down to bit 0."""
+        x = _swap_pairs(np.asarray(u), self.dim)
+        x &= v
+        for k in reversed(range((self.dim - 1).bit_length())):
+            x ^= x >> (1 << k)
+        x &= 1
+        return x.astype(bool)
+
 
 def f2_span(basis) -> list[int]:
     """All 2^k combinations of the basis vectors, sorted."""
@@ -68,6 +84,26 @@ def f2_span(basis) -> list[int]:
     for b in basis:
         span += [x ^ b for x in span]
     return sorted(set(span))
+
+
+def cf_dimension(t: int, *, budget: int = GRAPH_VERTEX_BUDGET) -> int:
+    """The dimension t - 2 of the space behind cf:t, once t is checked: even,
+    at least 4, and 2^(t-2) vertices within the budget."""
+    if t % 2 or t < 4:
+        raise ValueError(f"t must be even and >= 4, got {t}")
+    dim = t - 2
+    n = 1 << dim
+    if n > budget:
+        raise ValueError(f"2^(t-2) = {n} exceeds the vertex budget {budget}")
+    return dim
+
+
+def cf_counts(t: int) -> tuple[int, int]:
+    """Vertices and edges of cf:t, without building it: n = 2^(t-2), and each
+    nonzero u is adjacent to exactly half of the space, since form(u, .) is
+    a nonzero linear functional, so |E| = (n - 1) n / 4."""
+    n = 1 << cf_dimension(t)
+    return n, (n - 1) * n // 4
 
 
 def build_cf_graph(t: int, *, budget: int = GRAPH_VERTEX_BUDGET) -> Graph:
@@ -78,12 +114,8 @@ def build_cf_graph(t: int, *, budget: int = GRAPH_VERTEX_BUDGET) -> Graph:
     from an earlier one by one XOR: adj[u] = adj[u ^ e_i] ^ row(e_i), with
     e_i the lowest set bit of u.
     """
-    if t % 2 or t < 4:
-        raise ValueError(f"t must be even and >= 4, got {t}")
-    dim = t - 2
+    dim = cf_dimension(t, budget=budget)
     n = 1 << dim
-    if n > budget:
-        raise ValueError(f"2^(t-2) = {n} exceeds the vertex budget {budget}")
     # The row of u, {x : form(u,x) = 1}, is linear in u. The form pairs
     # coordinate i with i ^ 1, so row(e_i) is coord[i ^ 1], the bitset of
     # vectors with coordinate i ^ 1 set.

@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
+from .f2 import SymplecticSpace
 from .graphs import EXACT_COUNT_BUDGET, Graph, adjacent, independence_profile, packed_adjacency
 from .rng import make_rng
 
@@ -66,8 +68,13 @@ class McEstimate:
     seed: int
 
 
-def mc_independence_prob(g: Graph, s: int, trials: int, seed: int) -> McEstimate:
+def mc_independence_prob(g: Graph | SymplecticSpace, s: int, trials: int, seed: int) -> McEstimate:
     """Monte Carlo estimate of the s-draw independence probability.
+
+    g is a Graph, whose pairs are read from its packed adjacency rows, or
+    the SymplecticSpace behind cf:t, whose pairs are its form: vertex u of
+    cf:t is the vector u, so both give the same estimate, and the space
+    needs no rows at all.
 
     Stream discipline: trial i consumes draws i*s .. i*s+s-1 of the seeded
     stream (s uniform vertex indices per trial, with replacement); a trial
@@ -78,24 +85,28 @@ def mc_independence_prob(g: Graph, s: int, trials: int, seed: int) -> McEstimate
         raise ValueError("s must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if g.n == 0:
+    if isinstance(g, SymplecticSpace):
+        n, pair = g.size, g.adjacent
+    elif g.n:
+        n, pair = g.n, partial(adjacent, packed_adjacency(g))
+    else:
         raise ValueError("graph has no vertices")
-    packed = packed_adjacency(g)
     rng = make_rng(seed)
     hits = 0
     chunk = 1 << 16
     done = 0
     while done < trials:
         m = min(chunk, trials - done)
-        # int32 halves the copies below; n < 2^31, or its packed rows could not be held
-        alive = rng.integers(0, g.n, size=(m, s)).astype(np.int32)
+        # for n < 2^32 numpy fills int32 and int64 from one 32-bit bounded
+        # sampler, so int32 draws are the int64 stream at half the memory
+        alive = rng.integers(0, n, size=(m, s), dtype=np.int32)
         # vertex j meets vertices 0..j-1 of the trials still independent; a
         # trial drops out at its first adjacent pair
         for j in range(1, s):
             v = alive[:, j]
-            hit = adjacent(packed, alive[:, 0], v)
+            hit = pair(alive[:, 0], v)
             for i in range(1, j):
-                hit |= adjacent(packed, alive[:, i], v)
+                hit |= pair(alive[:, i], v)
             alive = np.compress(~hit, alive, axis=0)
             if not len(alive):
                 break

@@ -1,4 +1,4 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and inputs for the test suite.
 
 These deliberately avoid the library's computation paths: the tuple oracle
 iterates all n^s ordered draws, and the subset oracle scans combinations.
@@ -338,3 +338,13 @@ def oracle_n_recursion(s_max: int, t_max: int, tol: float = 1e-12) -> dict:
         return memo[s, t]
 
     return {(s, t): crossing(s, t) for s in range(1, s_max + 1) for t in range(2, t_max + 1)}
+
+
+_TRIANGLE_HEADER = "halfmult-certificate v1\nn: 3\nell: 2\nt: 3\nbase_graph: none\nseed: 0\nattempts_used: 0\n"
+# a valid certificate with one header line given twice; a later line used
+# to override the earlier one, so each text below parsed as another
+# certificate (the first verified as invalid, the second as valid)
+REPEATED_FIELDS = {
+    "colors": _TRIANGLE_HEADER + "colors: 1,2,1\ncolors: 2,2,2\n",
+    "n": _TRIANGLE_HEADER.replace("n: 3", "n: 5") + "colors: 1,2,1\nn: 3\n",
+}

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 import halfmult
 from halfmult.cli import build_parser, main
+from halfmult.f2 import build_cf_graph, count_isotropic_subspaces
 from halfmult.graphs import from_graph6
+
+from conftest import REPEATED_FIELDS
 
 
 def run(capsys, *argv):
@@ -217,6 +221,14 @@ def test_verify_malformed_certificate_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("field", sorted(REPEATED_FIELDS))
+def test_verify_repeated_field_exits_2(capsys, tmp_path, field):
+    cert = tmp_path / "cert.txt"
+    cert.write_text(REPEATED_FIELDS[field])
+    code, out, err = run(capsys, "verify", str(cert))
+    assert (code, out, err) == (2, "", f"format error: repeated field '{field}'\n")
+
+
 @pytest.mark.parametrize(
     "content",
     [b"garbage!!\n", b"", b"\n  \n", b"A\xe9\n"],
@@ -399,6 +411,69 @@ def test_search_command(capsys, tmp_path):
     assert data["min_prob"]["den"] == "2"
     assert "A_" in data["witnesses"]
     assert witness_file.read_text().splitlines() == list(data["witnesses"])
+
+
+@pytest.mark.parametrize("t", range(4, 17, 2))
+def test_cf_counts_match_the_built_graph(capsys, t):
+    g = build_cf_graph(t)
+    for k in [None, 0, t // 2 - 1]:
+        extra = [] if k is None else ["--count-isotropic", str(k)]
+        code, data = payload(capsys, "cf", "--t", str(t), *extra)
+        assert code == 0
+        assert (data["vertices"], data["edges"]) == (g.n, g.edge_count)
+        if k is not None:
+            assert data["isotropic_count"] == count_isotropic_subspaces(t, k)
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        ("cf:5", (1, "error: t must be even and >= 4, got 5\n")),
+        ("cf:2", (1, "error: t must be even and >= 4, got 2\n")),
+        ("cf:-4", (1, "error: t must be even and >= 4, got -4\n")),
+        ("cf:18", (1, "error: 2^(t-2) = 65536 exceeds the vertex budget 16384\n")),
+        ("cf:abc", (2, "format error: graph spec 'cf:abc' needs an integer after cf:\n")),
+        ("cf:", (2, "format error: graph spec 'cf:' needs an integer after cf:\n")),
+    ],
+)
+def test_every_cf_route_checks_t_alike(capsys, spec, expected):
+    # estimate reads cf:t from its form and cf counts it in closed form; the
+    # others build the graph. All take t through one check.
+    argvs = [
+        ["estimate", "--in", spec, "--s", "2", "--trials", "3", "--seed", "1"],
+        ["exact", "--in", spec, "--s", "2"],
+        ["graph", "clique", "--in", spec, "--t", "3"],
+        ["color", "--graph", spec, "--ell", "3", "--t", "4", "--n", "5", "--seed", "1"],
+    ]
+    if spec[3:].lstrip("-").isdigit():
+        argvs.append(["cf", "--t", spec[3:]])
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (expected[0], "", expected[1]), argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cf", "--t", "16", "--json"],
+        ["estimate", "--in", "cf:14", "--s", "6", "--trials", "1000", "--seed", "1", "--json"],
+    ],
+    ids=["cf16", "estimate-cf14"],
+)
+def test_cf_answers_hold_no_rows(capsys, argv):
+    # cf:16 as rows is 16384 ints of 2 KB; cf:14 packed is a 2 MB table. The
+    # first run loads what the job imports lazily (numpy.random), the second
+    # is measured.
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert peak < 1 << 20, f"peak {peak} bytes"
 
 
 def test_domain_error_exits_1(capsys):

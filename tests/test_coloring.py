@@ -20,7 +20,7 @@ from halfmult.f2 import build_cf_graph
 from halfmult.graphs import complete, cycle, has_clique
 from halfmult.search import pentagon_coloring
 
-from conftest import oracle_color_class
+from conftest import REPEATED_FIELDS, oracle_color_class
 
 
 def _pentagon_certificate() -> ColoringCertificate:
@@ -221,6 +221,13 @@ def test_certificate_format_errors():
         verify_certificate(ColoringCertificate(5, 2, 3, (1, 2), "none", 0, 0))
     with pytest.raises(CertificateFormatError):
         verify_certificate(ColoringCertificate(3, 2, 3, (1, 2, 3), "none", 0, 0))
+
+
+@pytest.mark.parametrize("field", sorted(REPEATED_FIELDS))
+def test_repeated_field_is_a_format_error(field):
+    with pytest.raises(CertificateFormatError) as exc:
+        certificate_from_text(REPEATED_FIELDS[field])
+    assert str(exc.value) == f"repeated field '{field}'"
 
 
 @pytest.mark.parametrize(

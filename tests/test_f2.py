@@ -1,12 +1,15 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from halfmult.errors import BudgetError
 from halfmult.f2 import (
     SymplecticSpace,
     build_cf_graph,
+    cf_counts,
+    cf_dimension,
     count_isotropic_subspaces,
     enumerate_isotropic_subspaces,
     f2_rank,
@@ -55,6 +58,42 @@ def test_form_alternating_bilinear_nondegenerate(dim):
         assert sp.form(u, v) == sp.form(v, u)
     for v in range(1, size):
         assert any(sp.form(v, w) == 1 for w in range(size)), f"degenerate at {v}"
+
+
+@pytest.mark.parametrize("dim", [2, 4, 6, 8])
+def test_symplectic_adjacent_is_the_form_on_all_pairs(dim):
+    sp = SymplecticSpace(dim)
+    u, v = np.meshgrid(np.arange(sp.size, dtype=np.int32), np.arange(sp.size, dtype=np.int32), indexing="ij")
+    expected = [[sp.form(a, b) == 1 for b in range(sp.size)] for a in range(sp.size)]
+    assert sp.adjacent(u, v).tolist() == expected
+    assert sp.adjacent(sp.size - 1, 1) == (sp.form(sp.size - 1, 1) == 1)  # scalars broadcast too
+    assert sp.adjacent(sp.size - 1, v[0]).tolist() == expected[sp.size - 1]  # a vector index against an array
+
+
+@pytest.mark.parametrize("t", [4, 6, 8, 10, 12, 14, 16])
+def test_symplectic_adjacent_matches_the_cf_rows(t):
+    g = build_cf_graph(t)
+    rng = np.random.default_rng(t)
+    u = rng.integers(0, g.n, 4096, dtype=np.int32)
+    v = rng.integers(0, g.n, 4096, dtype=np.int32)
+    got = SymplecticSpace(cf_dimension(t)).adjacent(u, v)
+    assert got.tolist() == [g.has_edge(a, b) for a, b in zip(u.tolist(), v.tolist())]
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (5, "t must be even and >= 4, got 5"),
+        (2, "t must be even and >= 4, got 2"),
+        (-4, "t must be even and >= 4, got -4"),
+        (18, "2^(t-2) = 65536 exceeds the vertex budget 16384"),
+    ],
+)
+def test_cf_t_is_checked_alike_everywhere(t, message):
+    for check in (cf_dimension, cf_counts, build_cf_graph):
+        with pytest.raises(ValueError) as exc:
+            check(t)
+        assert str(exc.value) == message
 
 
 def test_f2_rank_examples():

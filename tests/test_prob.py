@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from halfmult.errors import BudgetError
-from halfmult.f2 import build_cf_graph
+from halfmult.f2 import SymplecticSpace, build_cf_graph
 from halfmult.graphs import Graph, complete, cycle, edgeless, from_edges, sample_er_graph
 from halfmult.prob import exact_independence_prob, mc_independence_prob, stirling2
 from halfmult.rng import make_rng
@@ -205,3 +205,27 @@ def test_mc_on_complete9_keeps_only_repeated_draws(s):
     est = mc_independence_prob(complete(9), s, trials, seed)
     assert est.estimate == survivors / trials
     assert trials - survivors == oracle_mc_hits(complete(9), s, trials, seed)
+
+
+@pytest.mark.parametrize("t", [4, 6, 8, 10])
+@pytest.mark.parametrize("s", [2, 3, 6, 8])
+def test_mc_on_the_symplectic_space_equals_the_cf_graph(t, s):
+    # the form and the packed rows answer the same pairs, across chunks
+    trials, seed = 2 * 65536 + 37, 1000 * t + s
+    est = mc_independence_prob(SymplecticSpace(t - 2), s, trials, seed)
+    assert est == mc_independence_prob(build_cf_graph(t), s, trials, seed)
+
+
+@pytest.mark.parametrize("n", [3, 48, 64, 256, 4096, 2**31 - 1])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_int32_draws_are_the_int64_stream(n, seed):
+    # the Monte Carlo draws int32 indices; numpy fills int32 and int64 from
+    # one 32-bit bounded sampler when n < 2^32, so the seeded stream is that
+    # of int64 draws. Odd sizes and consecutive calls cover a half-used
+    # 64-bit output carried from one call to the next.
+    narrow, wide = make_rng(seed), make_rng(seed)
+    for size in [(5, 3), 1001, (65536, 2), 7]:
+        a = narrow.integers(0, n, size=size, dtype=np.int32)
+        b = wide.integers(0, n, size=size)
+        assert a.dtype == np.int32 and b.dtype == np.int64
+        assert np.array_equal(a, b.astype(np.int32))
