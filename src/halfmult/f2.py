@@ -88,12 +88,14 @@ def f2_span(basis) -> list[int]:
 
 def cf_dimension(t: int, *, budget: int = GRAPH_VERTEX_BUDGET) -> int:
     """The dimension t - 2 of the space behind cf:t, once t is checked: even,
-    at least 4, and 2^(t-2) vertices within the budget."""
+    at least 4, and 2^(t-2) vertices within the budget. The budget is
+    checked on the exponent, so a huge t builds no huge integer; past 2^64
+    the refusal names the power rather than printing its digits."""
     if t % 2 or t < 4:
         raise ValueError(f"t must be even and >= 4, got {t}")
     dim = t - 2
-    n = 1 << dim
-    if n > budget:
+    if dim >= budget.bit_length():  # 2^dim > budget, found without building 2^dim
+        n = 1 << dim if dim <= 64 else f"2^{dim}"
         raise ValueError(f"2^(t-2) = {n} exceeds the vertex budget {budget}")
     return dim
 

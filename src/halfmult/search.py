@@ -7,11 +7,13 @@ time: a K_t-free graph G on the vertices 0..n-1 has one child for each
 neighbourhood S of a new vertex n such that G[S] has no K_{t-1}.
 K_t-freeness is hereditary, so depth n of the tree holds each labeled
 K_t-free graph on n vertices exactly once, and one pass covers every
-n <= n_max. Each graph carries two tables over its vertex masks m, updated
+n <= n_max. Each graph carries tables over its vertex masks m, updated
 incrementally from its parent's: the clique number of G[m], which gives
-the admissible S, and the independence profile of G[m], from which each
-child's count of independent draws follows by one lookup, as
-I_k(G+v) = I_k(G) + I_{k-1}(G - N[v]).
+the admissible S, and one weighted sum of the independence profile of
+G[m], from which each child's count of independent s-tuples follows by one
+lookup, as I_k(G+v) = I_k(G) + I_{k-1}(G - N[v]). The walk runs in blocks
+of same-size graphs from any parents, capped by the table entries a step
+creates, so its memory stays at a few MB and its Python steps are few.
 
 Reported minima are restricted to the scanned vertex range; they equal the
 true infimum only where a matching lower bound is known (s=2 via Turan,
@@ -45,65 +47,110 @@ def _check_scope(n_max: int, t: int | None, budget: int) -> None:
         raise ValueError(f"t must be at least 2, got {t}")
 
 
+# New table entries per step of the growth: 2^n for each child on n vertices
+# that gets tables, one for each leaf. An entry takes a few bytes in each
+# table, so a step holds about 1 MB, and the walk one pending block a level.
+_BLOCK_ENTRIES = 1 << 15
+
+
 def _grow(n_max: int, t: int | None, s: int = 0):
     """Walk the growth tree of labeled K_t-free graphs on up to n_max vertices.
 
     A graph is stored as its path: path[v] is the bitset of the neighbours
-    of v below v. Yields blocks (n, prefix, tails, W): the graphs
-    prefix + tuple(tails[j]) on n vertices, each yielded once, with W[j]
-    the number of ordered s-tuples of their vertices that form an
-    independent set (zero for s = 0). t=None admits every neighbourhood.
+    of v below v. Yields (n, parents, rows, S, W): the graphs on n vertices
+    whose paths are parents[rows[j]] followed by S[j], each graph yielded
+    once, with W[j] the number of ordered s-tuples of its vertices that
+    form an independent set (zero for s = 0). t=None admits every
+    neighbourhood.
 
-    A family is a set of graphs on n vertices sharing a prefix, one row per
-    graph: its tail, its W, and its tables over the 2^n vertex masks m,
-    prof (I_0..I_{cols-1} of G[m]) and omega (the clique number of G[m]).
-    The children of a whole family are computed at once, so Python runs
-    once per family, that is once per graph on at most n_max - 2 vertices.
+    A block is a set of graphs on n vertices, from any parents: their paths,
+    their W, and tables over their 2^n vertex masks m. omega[m] is the
+    clique number of G[m], and
+        wsum[m] = sum over k of k! S(s,k) I_{k-1}(G[m])
+    counts the independent s-tuples of G[m] + v that use the new vertex v,
+    so the child with neighbourhood S has W + wsum[full ^ S], one lookup.
+    psum is the same sum over I_{k-2}, and prof holds I_1, I_2, ...; each
+    table is kept only where a later level reads it. On the masks m | 1 << n
+    of the child with neighbourhood S:
+        omega'[m | 1 << n] = max(omega[m], 1 + omega[m & S])
+        wsum'[m | 1 << n]  = wsum[m] + psum[m & ~S]
+        I_k'[m | 1 << n]   = I_k[m] + I_{k-1}[m & ~S]
+    Each step takes the next children of the top block, as many as make at
+    most _BLOCK_ENTRIES new table entries, and pushes them as one block. So
+    Python runs once per step, not per graph or family, and the walk holds
+    about one step's tables per level whatever n_max is.
     """
     if n_max < 1:
         return
-    # A child's W needs I_{k-1} for k <= min(s, n_max). W <= n_max^s, which
-    # decides whether int64 holds it. Tables exist for graphs on at most
-    # n_max - 1 vertices, whose counts are binomial coefficients at most.
+    # W <= n_max^s, and so are the weights, wsum and psum, which count some
+    # of the tuples of a graph on at most n_max vertices: they take the
+    # smallest signed integer type that holds n_max^s, or Python ints past
+    # int64. prof lives on graphs on at most n_max - 2 vertices, so its
+    # counts are binomial coefficients at most.
     cols = min(s, n_max)
-    weights = np.array(
-        [math.factorial(k) * stirling2(s, k) for k in range(1, cols + 1)],
-        dtype=np.int64 if n_max**s < 2**63 else object,
-    )
+    exact = next((d for d in (np.int8, np.int16, np.int32, np.int64) if n_max**s <= np.iinfo(d).max), object)
+    weights = np.array([math.factorial(k) * stirling2(s, k) for k in range(1, cols + 1)], dtype=exact)
     limit = n_max if t is None else t - 2
-    count_type = np.min_scalar_type(math.comb(n_max - 1, (n_max - 1) // 2))
-    prof = np.zeros((1, 1, cols), dtype=count_type)  # the empty graph: I_0 = 1
-    prof[..., :1] = 1
-    stack = [((), np.zeros((1, 0), np.int64), np.zeros(1, weights.dtype), prof, np.zeros((1, 1), np.int8))]
+    count_type = np.min_scalar_type(math.comb(n_max, n_max // 2))
+
+    def psum_of(prof: np.ndarray) -> np.ndarray:
+        if cols < 2:
+            return np.zeros(prof.shape[:2], exact)
+        return (weights[1] + prof @ weights[2:]).astype(exact, copy=False)
+
+    # The root is the empty graph, on one mask with I_0 = 1 and clique number 0.
+    # A block is (paths, W, wsum, omega, psum, prof, picks), with picks the
+    # flat table positions row << n | S of the children still to take.
+    prof = np.zeros((1, 1, max(cols - 2, 0)), count_type)
+    wsum = np.array([[weights[0] if cols else 0]], dtype=exact)
+    root = (np.zeros((1, 0), np.int64), np.zeros(1, exact), wsum, np.zeros((1, 1), np.int8), psum_of(prof), prof)
+    stack = [(*root, np.zeros(1, np.intp))]
     while stack:
-        prefix, tails, W, prof, omega = stack.pop()
-        n = len(prefix) + tails.shape[1]
+        paths, W, wsum, omega, psum, prof, picks = stack.pop()
+        n = paths.shape[1]
+        grows = n + 1 < n_max  # the children get tables
+        take = max(1, _BLOCK_ENTRIES >> (n + 1)) if grows else _BLOCK_ENTRIES
+        if take < len(picks):
+            stack.append((paths, W, wsum, omega, psum, prof, picks[take:]))
+            picks = picks[:take]
         full = (1 << n) - 1
-        rows, S = np.nonzero(omega <= limit)
-        W_child = W[rows] + (prof @ weights)[rows, full ^ S]
-        yield n + 1, prefix, np.column_stack([tails[rows], S]), W_child
-        if n + 1 == n_max:
+        rows, S = picks >> n, picks & full
+        child_W = W[rows] + wsum.ravel()[picks ^ full]
+        yield n + 1, paths, rows, S, child_W
+        if not grows:
             continue
-        # The child G+v with neighbourhood S, on the masks m | 1 << n:
-        #   prof'[m | 1 << n] = prof[m] + x * prof[m & ~S]
-        #   omega'[m | 1 << n] = max(omega[m], 1 + omega[m & S])
-        masks = np.arange(full + 1)
-        old_prof, old_omega = prof[rows], omega[rows]
-        new_prof = old_prof.copy()
-        new_prof[..., 1:] += prof[rows[:, None], masks & (full ^ S)[:, None], :-1]
-        new_omega = np.maximum(old_omega, omega[rows[:, None], masks & S[:, None]] + 1)
-        child_prof = np.concatenate([old_prof, new_prof], axis=1)
-        child_omega = np.concatenate([old_omega, new_omega], axis=1)
-        ends = np.cumsum(np.bincount(rows, minlength=len(tails))).tolist()
-        for tail, lo, hi in zip(tails.tolist(), [0, *ends], ends):
-            stack.append(
-                (prefix + tuple(tail), S[lo:hi, None], W_child[lo:hi], child_prof[lo:hi], child_omega[lo:hi])
-            )
+        half = full + 1
+        masks = np.arange(half)
+        base = (picks - S)[:, None]  # row << n
+        child_omega = np.empty((len(rows), 2 * half), np.int8)
+        child_omega[:, :half] = omega[rows]
+        np.maximum(child_omega[:, :half], omega.ravel()[base | (masks & S[:, None])] + 1, out=child_omega[:, half:])
+        outside = base | (masks & (full ^ S)[:, None])
+        child_wsum = np.empty((len(rows), 2 * half), exact)
+        child_wsum[:, :half] = wsum[rows]
+        np.add(child_wsum[:, :half], psum.ravel()[outside], out=child_wsum[:, half:])
+        if n + 2 < n_max:
+            child_prof = np.empty((len(rows), 2 * half, prof.shape[2]), count_type)
+            child_prof[:, :half] = prof[rows]
+            child_prof[:, half:] = child_prof[:, :half]
+            if prof.shape[2]:
+                child_prof[:, half:, 0] += 1
+                child_prof[:, half:, 1:] += prof.reshape(-1, prof.shape[2])[outside, :-1]
+            child_psum = psum_of(child_prof)
+            if n + 3 == n_max:  # the child's children get no profile
+                child_prof = None
+        else:
+            child_prof = child_psum = None
+        child_paths = np.empty((len(rows), n + 1), np.int64)
+        child_paths[:, :n] = paths[rows]
+        child_paths[:, n] = S
+        picks = np.flatnonzero(child_omega <= limit)
+        stack.append((child_paths, child_W, child_wsum, child_omega, child_psum, child_prof, picks))
 
 
-def _graphs(prefix: tuple[int, ...], tails: np.ndarray) -> list[Graph]:
-    """The graphs with the paths prefix + tuple(tails[j]), as _grow yields them."""
-    paths = np.hstack([np.tile(np.array(prefix, dtype=np.int64), (len(tails), 1)), tails])
+def _graphs(parents: np.ndarray, S: np.ndarray) -> list[Graph]:
+    """The graphs with the paths parents[j] followed by S[j], as _grow yields them."""
+    paths = np.column_stack([parents, S])
     adj = paths.copy()
     n = paths.shape[1]
     for v in range(1, n):
@@ -121,7 +168,7 @@ def enumerate_ktfree(n: int, t: int | None, *, budget: int = ENUMERATION_BUDGET)
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_scope(n, t, budget)
-    return (g for depth, prefix, tails, _ in _grow(n, t) if depth == n for g in _graphs(prefix, tails))
+    return (g for depth, parents, rows, S, _ in _grow(n, t) if depth == n for g in _graphs(parents[rows], S))
 
 
 @dataclass(frozen=True)
@@ -184,22 +231,23 @@ def min_independence_prob(
         )
     least: dict[int, list] = {}  # n -> [least tuple count, blocks attaining it]
     scanned = 0
-    for n, prefix, tails, W in _grow(n_max, t, s):
+    for n, parents, rows, S, W in _grow(n_max, t, s):
         scanned += len(W)
         low = W.min()
         entry = least.setdefault(n, [low, []])
         if low < entry[0]:
             entry[:] = [low, []]
         if low == entry[0]:
-            entry[1].append((prefix, tails[W == low]))
+            at = W == low
+            entry[1].append((parents[rows[at]], S[at]))
     probs = {n: Fraction(int(low), n**s) for n, (low, _) in least.items()}
     best = min(probs.values(), default=None)
     witnesses = [
         g
         for n, (_, blocks) in least.items()
         if probs[n] == best
-        for prefix, tails in blocks
-        for g in _graphs(prefix, tails)
+        for parents, S in blocks
+        for g in _graphs(parents, S)
     ]
     if dedup_iso:
         firsts = {}
@@ -233,8 +281,8 @@ def turan_check(n_max: int, t: int, *, budget: int = ENUMERATION_BUDGET) -> Tura
     extremal = []
     failures = []
     checked = 0
-    for n, prefix, tails, _ in _grow(n_max, t):
-        for g in _graphs(prefix, tails):
+    for n, parents, rows, S, _ in _grow(n_max, t):
+        for g in _graphs(parents[rows], S):
             checked += 1
             lhs = 2 * g.edge_count * (t - 1)
             rhs = (t - 2) * n * n

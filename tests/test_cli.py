@@ -302,6 +302,8 @@ def test_cf_spec_with_odd_t_is_domain_error(capsys):
         (["optimize-p", "--s-equals-t", "--tol", "nan"], 1),
         (["search", "--s", "2", "--t", "3", "--max-n", "0"], 1),
         (["search", "--s", "2", "--t", "3", "--max-n", "-1"], 1),
+        (["cf", "--t", "100000"], 1),
+        (["exact", "--in", "cf:5000", "--s", "3"], 1),
     ],
     ids=[
         "p-value-zero-denominator",
@@ -321,6 +323,8 @@ def test_cf_spec_with_odd_t_is_domain_error(capsys):
         "optimize-p-tol-nan",
         "search-max-n-zero",
         "search-max-n-negative",
+        "cf-t-past-int-printing",
+        "exact-cf-thousands-of-digits",
     ],
 )
 def test_bad_inputs_exit_cleanly(capsys, tmp_path, argv, expected):
@@ -342,6 +346,8 @@ def test_bad_inputs_exit_cleanly(capsys, tmp_path, argv, expected):
         (["optimize-p", "--s-equals-t", "--tol", "nan"], "error: tol must be positive and finite\n"),
         (["bounds", "--s", "3", "--t", "3", "--ell", "3", "--p-value", "x/2"], "format error: --p-value x/2 is neither NUM/DEN nor a float\n"),
         (["search", "--s", "2", "--t", "3", "--max-n", "0"], "error: n_max must be at least 1, got 0\n"),
+        (["cf", "--t", "100000"], "error: 2^(t-2) = 2^99998 exceeds the vertex budget 16384\n"),
+        (["exact", "--in", "cf:5000", "--s", "3"], "error: 2^(t-2) = 2^4998 exceeds the vertex budget 16384\n"),
     ],
 )
 def test_bad_values_name_the_argument(capsys, argv, message):

@@ -87,6 +87,10 @@ def test_symplectic_adjacent_matches_the_cf_rows(t):
         (2, "t must be even and >= 4, got 2"),
         (-4, "t must be even and >= 4, got -4"),
         (18, "2^(t-2) = 65536 exceeds the vertex budget 16384"),
+        (66, "2^(t-2) = 18446744073709551616 exceeds the vertex budget 16384"),
+        # past 2^64 the power is named, not printed: 2^99998 has 30,103 digits
+        (68, "2^(t-2) = 2^66 exceeds the vertex budget 16384"),
+        (100000, "2^(t-2) = 2^99998 exceeds the vertex budget 16384"),
     ],
 )
 def test_cf_t_is_checked_alike_everywhere(t, message):

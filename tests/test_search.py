@@ -1,8 +1,10 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from halfmult import search
 from halfmult.bounds import (
     KnownRamseyTable,
     n_binomial_lower,
@@ -15,6 +17,7 @@ from halfmult.graphs import complement, complete, from_edges, from_graph6, has_c
 from halfmult.prob import exact_independence_prob
 from halfmult.search import (
     _canonical_form,
+    _grow,
     enumerate_ktfree,
     known_exact_value,
     min_independence_prob,
@@ -198,6 +201,63 @@ def test_min_independence_exact_for_large_s():
     for n_max in (5, 6):
         r = min_independence_prob(25, 3, n_max)
         assert (r.min_prob, r.witnesses, r.graphs_scanned) == _brute_force_min(scored, n_max, False, {})
+
+
+def _results(shapes):
+    return {shape: min_independence_prob(*shape[:3], dedup_iso=shape[3]) for shape in shapes}
+
+
+# s = 1 at n_max = 6 makes every graph a witness, which only grows the output
+_CAPPED_SHAPES = [
+    (s, t, n_max, dedup_iso)
+    for s in range(1, 5)
+    for t in range(2, 6)
+    for n_max in range(1, 7 if s > 1 else 6)
+    for dedup_iso in (False, True)
+]
+
+
+@pytest.mark.parametrize("cap", [1, 1 << 62], ids=["one-entry", "unbounded"])
+def test_block_cap_leaves_every_result_unchanged(monkeypatch, cap):
+    # one entry a step takes one child a step, so every split and pending
+    # remainder runs; for t >= 4 at n_max = 6 that is a step per graph for
+    # tens of thousands of graphs, so there it stops at n_max = 5
+    shapes = [shape for shape in _CAPPED_SHAPES if cap > 1 or shape[1] <= 3 or shape[2] <= 5]
+    expected = _results(shapes)
+    monkeypatch.setattr(search, "_BLOCK_ENTRIES", cap)
+    assert _results(shapes) == expected
+
+
+@pytest.mark.parametrize(
+    "s, n_max, dtype",
+    [(2, 5, np.int8), (4, 5, np.int16), (8, 4, np.int32), (25, 5, np.int64), (25, 6, object)],
+)
+def test_tuple_counts_take_the_smallest_type_that_holds_them(s, n_max, dtype):
+    # W <= n_max^s: 25, 625, 65536, 5^25 < 2^63 <= 6^25
+    assert {W.dtype for *_, W in _grow(n_max, 3, s)} == {np.dtype(dtype)}
+    if n_max**s > 2_000_000:
+        return  # past the tuple oracle: test_min_independence_exact_for_large_s checks these
+    scored = [(oracle_independence_prob(g, s), g) for n in range(1, n_max + 1) for g in oracle_ktfree_graphs(n, 3)]
+    r = min_independence_prob(s, 3, n_max)
+    assert (r.min_prob, r.witnesses, r.graphs_scanned) == _brute_force_min(scored, n_max, False, {})
+
+
+def test_graphs_scanned_at_eight_vertices():
+    # labeled triangle-free graphs on 1..8 vertices, recorded before the walk ran in blocks
+    assert min_independence_prob(2, 3, 8).graphs_scanned == 4821999
+
+
+@pytest.mark.parametrize("s, n_max", [(6, 7), (3, 8)])
+def test_search_memory_is_bounded_by_the_block_cap(s, n_max):
+    # about 1.1 and 1.3 MB at the default cap; twice the cap peaks at 1.9 and 2.3 MB
+    min_independence_prob(s, 3, n_max)  # warm caches that outlive the call
+    tracemalloc.start()
+    try:
+        min_independence_prob(s, 3, n_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_600_000
 
 
 def test_dedup_iso_refuses_relabeling_tables_past_ten_vertices():
