@@ -314,74 +314,108 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd: folds a row's words into one sort k
 
 
 def _popcounts(rows: np.ndarray) -> np.ndarray:
-    """Set bits per row of an (m, w) uint64 array: the SWAR word popcount,
-    which needs no np.bitwise_count (numpy >= 2 only)."""
+    """Set bits per row of a word-major (w, m) uint64 array: the SWAR word
+    popcount, which needs no np.bitwise_count (numpy >= 2 only)."""
     x = rows - ((rows >> np.uint64(1)) & _M1)
     x = (x & _M2) + ((x >> np.uint64(2)) & _M2)
     x = (x + (x >> np.uint64(4))) & _M4
-    return ((x * _H01) >> np.uint64(56)).sum(axis=1, dtype=np.int64)
+    x = ((x * _H01) >> np.uint64(56)).view(np.int64)
+    counts = x[0]
+    for word in x[1:]:  # a word loop, not sum(axis=0), which is slow over one word
+        counts = counts + word
+    return counts
 
 
 def _merge_equal(rows: np.ndarray, mults: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of an (m, w) uint64 array, each with the summed
-    multiplicity of its copies.
+    """The distinct rows of a word-major (w, m) uint64 array, each with the
+    summed multiplicity of its copies.
 
     Rows are sorted by their words folded into one uint64 key, which is the
     row itself when w = 1. Runs end wherever whole rows differ, so rows
     whose keys collide stay apart at worst: a lost merge, never a wrong count.
     """
-    key = rows[:, 0]
-    for j in range(1, rows.shape[1]):
-        key = key * _MIX + rows[:, j]  # wraps modulo 2^64
+    key = rows[0]
+    for word in rows[1:]:
+        key = key * _MIX + word  # wraps modulo 2^64
     order = np.argsort(key)
-    rows = rows[order]
-    starts = np.flatnonzero(np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1))))
-    return rows[starts], np.add.reduceat(mults[order], starts)
+    rows = rows.take(order, axis=1)
+    new = np.ones(len(order), dtype=bool)  # a row that differs from the one before it
+    new[1:] = rows[0, 1:] != rows[0, :-1]
+    for word in rows[1:]:
+        new[1:] |= word[1:] != word[:-1]
+    starts = np.flatnonzero(new)
+    return rows.take(starts, axis=1), np.add.reduceat(mults[order], starts)
 
 
-def _count_cliques_by_size(adj: tuple[int, ...], n: int, kmax: int) -> list[int]:
-    """counts[k] = number of k-cliques for k = 0..kmax, as Python ints.
+def _ordered_above(dense: np.ndarray) -> np.ndarray:
+    """The rows above[v] = the neighbours of v above v, of the graph with the
+    n x n bool adjacency matrix dense relabelled by ascending degree (a
+    stable sort, so ties keep their order), as a word-major (w, n) uint64
+    array: word j of row v is above[j, v], w = ceil(n / 64)."""
+    n = len(dense)
+    order = np.argsort(dense.sum(axis=1), kind="stable")
+    bits = np.zeros((n, 64 * ((n + 63) // 64)), dtype=bool)
+    bits[:, :n] = dense[order][:, order] & ~np.tri(n, dtype=bool)
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").T.copy()
+
+
+def _count_cliques_by_size(dense: np.ndarray, kmax: int) -> list[int]:
+    """counts[k] = number of k-cliques for k = 0..kmax, as Python ints, of the
+    graph with the n x n bool adjacency matrix dense (zero diagonal).
 
     A partial clique is summed up by its candidates, the vertices above its
-    last vertex adjacent to all of it, held as a row of ceil(n/64) words;
-    cliques with equal candidates have equal extensions. So each level
-    holds distinct candidate rows, each with its multiplicity: the number
-    of partial cliques that lead to it. A row's children are the pairs
-    (row, v) for v a candidate, with candidates row & above[v]; equal
-    children are merged and their multiplicities summed. A row stands for
-    popcount * multiplicity cliques one level up, so the last level is
-    counted without being built. Rows run depth-first in blocks of about
-    _BLOCK_CHILDREN children, which bounds memory whatever n and kmax are.
+    last vertex adjacent to all of it; cliques with equal candidates have
+    equal extensions. So each level holds distinct candidate rows, each with
+    its multiplicity: the number of partial cliques that lead to it. A row's
+    children are the pairs (row, v) for v a candidate, with candidates
+    row & above[v]; equal children are merged and their multiplicities
+    summed. A row stands for popcount * multiplicity cliques one level up,
+    so the last level is counted without being built. Rows run depth-first
+    in blocks of about _BLOCK_CHILDREN children, which bounds memory
+    whatever n and kmax are.
+
+    The vertices are taken by ascending degree (_ordered_above), so the
+    vertices of most neighbours have the fewest above them, which is when
+    listing cliques is cheapest (Chiba & Nishizeki, SIAM J. Comput. 1985).
+    The walk starts from the level-1 rows, the above rows themselves, which
+    are nearly always distinct and are not merged. Rows are word-major,
+    (w, m) arrays of ceil(n/64) contiguous words, so at n <= 64 every
+    gather, AND, popcount and sort runs on 1-D arrays, and past 64 on
+    the same code.
     """
+    n = len(dense)
     counts = [1] + [0] * kmax
     if kmax == 0 or n == 0:
         return counts
-    w = (n + 63) // 64
-    above = _pack([row >> (v + 1) << (v + 1) for v, row in enumerate(adj)], 8 * w).view("<u8")
-    root = _pack([(1 << n) - 1], 8 * w).view("<u8")
+    counts[1] = n
+    above = _ordered_above(dense)
     # Every multiplicity and count is at most C(n, k) for some k <= kmax;
     # past int64 they are Python ints in an object array.
     exact = np.int64 if math.comb(n, min(kmax, n // 2)) < 2**63 else object
-    pending = [(0, root, np.ones(1, dtype=exact), np.array([n]))]  # (level, rows, mults, popcounts); rows non-empty
+    sizes = _popcounts(above)
+    keep = sizes > 0
+    # (level, rows, mults, popcounts): the rows of level-1 cliques with a candidate
+    pending = [(1, above.compress(keep, axis=1), np.ones(keep.sum(), dtype=exact), sizes[keep])] if kmax > 1 else []
     while pending:
         level, rows, mults, sizes = pending.pop()
         take = max(1, int(np.searchsorted(np.cumsum(sizes), _BLOCK_CHILDREN, side="right")))
-        if take < len(rows):
-            pending.append((level, rows[take:], mults[take:], sizes[take:]))
-        rows, mults, sizes = rows[:take], mults[:take], sizes[:take]
+        if take < len(sizes):
+            pending.append((level, rows[:, take:], mults[take:], sizes[take:]))
+        rows, mults, sizes = rows[:, :take], mults[:take], sizes[:take]
         counts[level + 1] += int((sizes * mults).sum())
         if level + 1 == kmax:
             continue
-        bits = np.unpackbits(rows.view(np.uint8), axis=1, count=n, bitorder="little")
-        parent = np.repeat(np.arange(take), sizes)  # flatnonzero lists each row's set bits in turn
+        # each row's words side by side, as unpackbits reads them: a view when w = 1
+        bits = np.unpackbits(np.ascontiguousarray(rows.T).view(np.uint8), axis=1, count=n, bitorder="little")
+        parent = np.repeat(np.arange(len(sizes)), sizes)  # flatnonzero lists each row's set bits in turn
         v = np.flatnonzero(bits.view(bool)) - parent * n
-        children, mults = rows[parent] & above[v], mults[parent]
+        children, mults = rows.take(parent, axis=1) & above.take(v, axis=1), mults[parent]
         if level + 2 == kmax:
             counts[kmax] += int((_popcounts(children) * mults).sum())
             continue
-        keep = children.any(axis=1)
+        keep = children.any(axis=0)
         if keep.any():
-            rows, mults = _merge_equal(children[keep], mults[keep])
+            rows, mults = _merge_equal(children.compress(keep, axis=1), mults.compress(keep))
             pending.append((level + 1, rows, mults, _popcounts(rows)))
     return counts
 
@@ -399,9 +433,9 @@ def independence_profile(g: Graph, s_max: int, *, budget: int = EXACT_COUNT_BUDG
             f"exact independence counting is limited to n <= {budget} (got n={g.n}); "
             "use mc_independence_prob instead"
         )
-    co = complement(g)
-    counts = _count_cliques_by_size(co.adj, g.n, s_max)
-    return IndependenceProfile(tuple(counts))
+    co = dense_adjacency(g) == 0
+    np.fill_diagonal(co, False)
+    return IndependenceProfile(tuple(_count_cliques_by_size(co, s_max)))
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,12 @@ def _grow(n_max: int, t: int | None, s: int = 0):
     """Walk the growth tree of labeled K_t-free graphs on up to n_max vertices.
 
     A graph is stored as its path: path[v] is the bitset of the neighbours
-    of v below v. Yields (n, parents, rows, S, W): the graphs on n vertices
-    whose paths are parents[rows[j]] followed by S[j], each graph yielded
-    once, with W[j] the number of ordered s-tuples of its vertices that
-    form an independent set (zero for s = 0). t=None admits every
-    neighbourhood.
+    of v below v. Yields (n, parents, picks, W): the graphs on n vertices
+    whose paths are parents[picks[j] >> (n - 1)] followed by
+    S = picks[j] & (2^(n-1) - 1), each graph yielded once, with W[j] the
+    number of ordered s-tuples of its vertices that form an independent set
+    (zero for s = 0); _graphs builds the graphs of the picks a caller keeps.
+    t=None admits every neighbourhood.
 
     A block is a set of graphs on n vertices, from any parents: their paths,
     their W, and tables over their 2^n vertex masks m. omega[m] is the
@@ -114,11 +115,12 @@ def _grow(n_max: int, t: int | None, s: int = 0):
             stack.append((paths, W, wsum, omega, psum, prof, picks[take:]))
             picks = picks[:take]
         full = (1 << n) - 1
-        rows, S = picks >> n, picks & full
+        rows = picks >> n
         child_W = W[rows] + wsum.ravel()[picks ^ full]
-        yield n + 1, paths, rows, S, child_W
+        yield n + 1, paths, picks, child_W
         if not grows:
             continue
+        S = picks & full
         half = full + 1
         masks = np.arange(half)
         base = (picks - S)[:, None]  # row << n
@@ -148,11 +150,13 @@ def _grow(n_max: int, t: int | None, s: int = 0):
         stack.append((child_paths, child_W, child_wsum, child_omega, child_psum, child_prof, picks))
 
 
-def _graphs(parents: np.ndarray, S: np.ndarray) -> list[Graph]:
-    """The graphs with the paths parents[j] followed by S[j], as _grow yields them."""
-    paths = np.column_stack([parents, S])
+def _graphs(parents: np.ndarray, picks: np.ndarray) -> list[Graph]:
+    """The graphs at the flat positions picks, row << k | S, into the paths
+    parents of graphs on k vertices, as _grow yields them."""
+    k = parents.shape[1]
+    paths = np.column_stack([parents[picks >> k], picks & ((1 << k) - 1)])
     adj = paths.copy()
-    n = paths.shape[1]
+    n = k + 1
     for v in range(1, n):
         for u in range(v):
             adj[:, u] |= (paths[:, v] >> u & 1) << v
@@ -168,7 +172,7 @@ def enumerate_ktfree(n: int, t: int | None, *, budget: int = ENUMERATION_BUDGET)
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_scope(n, t, budget)
-    return (g for depth, parents, rows, S, _ in _grow(n, t) if depth == n for g in _graphs(parents[rows], S))
+    return (g for depth, parents, picks, _ in _grow(n, t) if depth == n for g in _graphs(parents, picks))
 
 
 @dataclass(frozen=True)
@@ -231,23 +235,22 @@ def min_independence_prob(
         )
     least: dict[int, list] = {}  # n -> [least tuple count, blocks attaining it]
     scanned = 0
-    for n, parents, rows, S, W in _grow(n_max, t, s):
+    for n, parents, picks, W in _grow(n_max, t, s):
         scanned += len(W)
         low = W.min()
         entry = least.setdefault(n, [low, []])
         if low < entry[0]:
             entry[:] = [low, []]
         if low == entry[0]:
-            at = W == low
-            entry[1].append((parents[rows[at]], S[at]))
+            entry[1].append((parents, picks[W == low]))
     probs = {n: Fraction(int(low), n**s) for n, (low, _) in least.items()}
     best = min(probs.values(), default=None)
     witnesses = [
         g
         for n, (_, blocks) in least.items()
         if probs[n] == best
-        for parents, S in blocks
-        for g in _graphs(parents, S)
+        for parents, picks in blocks
+        for g in _graphs(parents, picks)
     ]
     if dedup_iso:
         firsts = {}
@@ -281,8 +284,8 @@ def turan_check(n_max: int, t: int, *, budget: int = ENUMERATION_BUDGET) -> Tura
     extremal = []
     failures = []
     checked = 0
-    for n, parents, rows, S, _ in _grow(n_max, t):
-        for g in _graphs(parents[rows], S):
+    for n, parents, picks, _ in _grow(n_max, t):
+        for g in _graphs(parents, picks):
             checked += 1
             lhs = 2 * g.edge_count * (t - 1)
             rhs = (t - 2) * n * n

@@ -14,6 +14,7 @@ from halfmult.graphs import (
     complement,
     complete,
     cycle,
+    dense_adjacency,
     edgeless,
     f2_rank,
     find_clique,
@@ -439,9 +440,9 @@ def test_merge_equal_sums_the_multiplicities_of_equal_rows(w):
     expected: dict = {}
     for row, mult in zip(map(tuple, rows.tolist()), mults.tolist()):
         expected[row] = expected.get(row, 0) + mult
-    merged, sums = graphs._merge_equal(rows, mults)
-    assert dict(zip(map(tuple, merged.tolist()), sums.tolist())) == expected
-    assert len(merged) == len(expected)
+    merged, sums = graphs._merge_equal(np.ascontiguousarray(rows.T), mults)  # the kernel's word-major layout
+    assert dict(zip(map(tuple, merged.T.tolist()), sums.tolist())) == expected
+    assert merged.shape[1] == len(expected)
 
 
 def test_counts_past_int64_are_exact():
@@ -454,6 +455,68 @@ def test_counts_past_int64_are_exact():
         prof = independence_profile(g, 40, budget=70)
         assert list(prof.counts) == _per_set_counts(g, 40)
         assert all(type(c) is int for c in prof.counts)
+
+
+def _relabeled(g: Graph, perm) -> Graph:
+    return from_edges(g.n, [(perm[u], perm[v]) for u in range(g.n) for v in range(u + 1, g.n) if g.has_edge(u, v)])
+
+
+@pytest.mark.parametrize(
+    "n, p, kmax", [(9, 0.3, 9), (24, 0.2, 5), (48, 0.2, 4), (64, 0.3, 3), (65, 0.4, 3), (70, 0.3, 6), (130, 0.5, 4)]
+)
+def test_independence_profile_is_label_invariant(n, p, kmax):
+    # I_k does not depend on labels; the kernel relabels by degree, so each relabelling is a new vertex order
+    rng = np.random.default_rng(n)
+    g = sample_er_graph(n, p, 20 + n)
+    # the subset oracle scans all kmax-subsets; past n = 65 the per-set kernel, which keeps file order
+    expected = oracle_independent_subset_counts(g, kmax) if n <= 65 else _per_set_counts(g, kmax)
+    for perm in [range(n)] + [rng.permutation(n).tolist() for _ in range(3)]:
+        assert list(independence_profile(_relabeled(g, perm), kmax, budget=130).counts) == expected
+
+
+def _cycle_counts(n: int, kmax: int) -> list[int]:
+    return [1] + [n * math.comb(n - k, k) // (n - k) for k in range(1, kmax + 1)]
+
+
+@pytest.mark.parametrize(
+    "g, expected",
+    [
+        (edgeless(20), [math.comb(20, k) for k in range(7)]),
+        (complete(20), [1, 20, 0, 0, 0, 0, 0]),
+        (cycle(20), _cycle_counts(20, 6)),
+        (cycle(65), _cycle_counts(65, 6)),
+        (build_cf_graph(6), None),
+    ],
+    ids=["edgeless-20", "complete-20", "cycle-20", "cycle-65", "cf6"],
+)
+def test_independence_profile_is_label_invariant_on_tied_degrees(g, expected):
+    # every degree ties, so the stable sort keeps each relabelling's own vertex order
+    if expected is None:
+        expected = oracle_independent_subset_counts(g, 6)
+    rng = np.random.default_rng(g.n)
+    for perm in [range(g.n)] + [rng.permutation(g.n).tolist() for _ in range(3)]:
+        assert list(independence_profile(_relabeled(g, perm), 6, budget=65).counts) == expected
+
+
+def _word_major_rows(above: np.ndarray) -> list[int]:
+    return [sum(int(word) << (64 * j) for j, word in enumerate(above[:, v])) for v in range(above.shape[1])]
+
+
+@pytest.mark.parametrize("n", [5, 64, 65, 130])
+def test_counting_takes_vertices_by_ascending_degree(n):
+    # a star centred on vertex 0: by ascending degree the centre comes last, so each leaf has
+    # one vertex above it, the centre none; in file order the centre would have all n - 1
+    star = np.zeros((n, n), dtype=bool)
+    star[0, 1:] = star[1:, 0] = True
+    above = graphs._ordered_above(star)
+    assert above.shape == ((n + 63) // 64, n)
+    assert graphs._popcounts(above).tolist() == [1] * (n - 1) + [0]
+    assert all(above[(n - 1) // 64, v] == np.uint64(1) << np.uint64((n - 1) % 64) for v in range(n - 1))
+    # a sparse graph, whose degrees tie often: Python's sort is stable, so ties keep vertex order
+    g = sample_er_graph(n, 3 / n, n)
+    order = sorted(range(n), key=g.degree)
+    rows = [sum(1 << j for j in range(i + 1, n) if g.has_edge(order[i], order[j])) for i in range(n)]
+    assert _word_major_rows(graphs._ordered_above(dense_adjacency(g).astype(bool))) == rows
 
 
 def test_independence_profile_hereditary_and_budget():
