@@ -36,11 +36,7 @@ from .f2 import (
     SymplecticSpace,
     build_cf_graph,
     count_isotropic_subspaces,
-    enumerate_isotropic_subspaces,
     f2_rank,
-    f2_span,
-    pack_bits,
-    unpack_bits,
 )
 from .graphs import (
     Graph,

@@ -53,11 +53,6 @@ class ColoringCertificate:
     seed: int
     attempts_used: int
 
-    def color_of(self, u: int, v: int) -> int:
-        if u > v:
-            u, v = v, u
-        return self.colors[pair_index(u, v, self.n)]
-
     def color_class(self, c: int) -> Graph:
         """The graph formed by edges of color c."""
         return from_pairs(self.n, _color_array(self.colors) == c)

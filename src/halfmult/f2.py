@@ -13,25 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
 from .graphs import Graph, f2_rank  # f2_rank: the one elimination, shared with the clique proofs
 
 GRAPH_VERTEX_BUDGET = 1 << 14
-ENUMERATION_T_BUDGET = 10
-
-
-def pack_bits(bits) -> int:
-    """(b0, b1, ...) -> int with bit i = b_i (LSB = coordinate 0)."""
-    value = 0
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
-        value |= b << i
-    return value
-
-
-def unpack_bits(value: int, dim: int) -> tuple[int, ...]:
-    return tuple((value >> i) & 1 for i in range(dim))
 
 
 def _swap_pairs(v, dim: int):
@@ -76,14 +60,6 @@ class SymplecticSpace:
             x ^= x >> (1 << k)
         x &= 1
         return x.astype(bool)
-
-
-def f2_span(basis) -> list[int]:
-    """All 2^k combinations of the basis vectors, sorted."""
-    span = [0]
-    for b in basis:
-        span += [x ^ b for x in span]
-    return sorted(set(span))
 
 
 def cf_dimension(t: int, *, budget: int = GRAPH_VERTEX_BUDGET) -> int:
@@ -150,42 +126,3 @@ def count_isotropic_subspaces(t: int, k: int) -> int:
     if num % den:
         raise AssertionError("isotropic subspace count is not an integer")
     return num // den
-
-
-def enumerate_isotropic_subspaces(t: int, k: int, *, budget: int = ENUMERATION_T_BUDGET) -> list[tuple[int, ...]]:
-    """Every k-dimensional isotropic subspace, as canonical basis tuples.
-
-    The canonical basis of a subspace V is g_1 < g_2 < ... with
-    g_i = min(V minus span of earlier g's); equivalently each g_i has zeros
-    in all earlier pivot positions. Output is sorted by basis encoding, so
-    the order is reproducible.
-    """
-    if t % 2 or t < 2:
-        raise ValueError(f"t must be even and >= 2, got {t}")
-    if not 0 <= k <= t // 2 - 1:
-        raise ValueError(
-            f"no isotropic subspace of dimension {k} in F2^{t - 2}; need 0 <= k <= {t // 2 - 1}"
-        )
-    if t > budget:
-        raise BudgetError(f"exhaustive subspace enumeration is limited to t <= {budget} (got t={t})")
-    dim = t - 2
-    size = 1 << dim
-    results: list[tuple[int, ...]] = []
-
-    def rec(basis: list[int], swapped: list[int], pivots: int, start: int) -> None:
-        if len(basis) == k:
-            results.append(tuple(basis))
-            return
-        for w in range(start, size):
-            if w & pivots:
-                continue  # not the minimum of its coset
-            if any((sw & w).bit_count() & 1 for sw in swapped):
-                continue  # not orthogonal to the current span
-            basis.append(w)
-            swapped.append(_swap_pairs(w, dim))
-            rec(basis, swapped, pivots | (1 << (w.bit_length() - 1)), w + 1)
-            swapped.pop()
-            basis.pop()
-
-    rec([], [], 0, 1)
-    return results

@@ -84,7 +84,7 @@ def complement(g: Graph) -> Graph:
 
 def from_pairs(n: int, mask) -> Graph:
     """The graph whose edges are the set entries of mask, a bool vector over
-    the pairs (0,1), (0,2), ..., (n-2,n-1) in that order; the inverse of _pack."""
+    the pairs (0,1), (0,2), ..., (n-2,n-1) in that order."""
     dense = np.zeros((n, n), dtype=bool)
     dense[~np.tri(n, dtype=bool)] = mask  # a bool index fills row-major: the pair order
     dense |= dense.T
@@ -106,15 +106,11 @@ def sample_er_graph(n: int, p: float, seed: int) -> Graph:
     return from_pairs(n, make_rng(seed).random(n * (n - 1) // 2) < p)
 
 
-def _pack(rows, width: int) -> np.ndarray:
-    """Bitset rows as a (len(rows), width) uint8 array, little-endian in bits and bytes."""
-    data = b"".join(row.to_bytes(width, "little") for row in rows)
-    return np.frombuffer(data, dtype=np.uint8).reshape(len(rows), width)
-
-
 def packed_adjacency(g: Graph) -> np.ndarray:
     """Adjacency as an (n, ceil(n/8)) uint8 array: row v, byte u >> 3, bit u & 7."""
-    return _pack(g.adj, (g.n + 7) // 8)
+    width = (g.n + 7) // 8
+    data = b"".join(row.to_bytes(width, "little") for row in g.adj)
+    return np.frombuffer(data, dtype=np.uint8).reshape(g.n, width)
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
@@ -129,11 +125,15 @@ def adjacent(packed: np.ndarray, u, v) -> np.ndarray:
     return ((packed[u, v >> 3] >> np.asarray(v & 7, dtype=np.uint8)) & 1).astype(bool)
 
 
+def _ints(packed: np.ndarray) -> tuple[int, ...]:
+    """The bitset rows of a uint8 array in packed_adjacency's bit layout, of any width."""
+    data, width = packed.tobytes(), packed.shape[1]  # slicing bytes: twice as fast as a tobytes per row
+    return tuple([int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed))])
+
+
 def _rows_of(dense: np.ndarray) -> tuple[int, ...]:
     """The bitset rows of a 0/1 matrix: bit u of row v is dense[v, u]."""
-    rows = np.packbits(dense, axis=1, bitorder="little")
-    data, width = rows.tobytes(), rows.shape[1]  # slicing bytes: twice as fast as a tobytes per row
-    return tuple([int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(rows))])
+    return _ints(np.packbits(dense, axis=1, bitorder="little"))
 
 
 def f2_rank(rows, *, stop: int | None = None) -> int:
@@ -223,18 +223,34 @@ def _expand(
 _RELABEL_ROWS = 1 << 10
 
 
-def _by_degree(g: Graph) -> tuple[list[int], tuple[int, ...]]:
-    """Relabel in descending-degree order, so strong branches come first;
-    returns the old label of each new vertex and the relabelled rows."""
+def _by_degree(g: Graph) -> tuple[list[int], np.ndarray]:
+    """Relabel in descending-degree order, so the clique search meets strong
+    branches first; in the complement it is the ascending order that counting
+    wants. Returns the old label of each new vertex and the relabelled rows:
+    an (n, 8 ceil(n/64)) uint8 array in packed_adjacency's bit layout, each
+    row zero-padded to whole uint64 words."""
     negated = [-row.bit_count() for row in g.adj]
     order = sorted(range(g.n), key=negated.__getitem__)  # stable: ties stay in vertex order
     perm = np.array(order, dtype=np.intp)
-    packed = packed_adjacency(g)[perm]
-    rows: list[int] = []
+    packed = packed_adjacency(g)
+    rows = np.zeros((g.n, 8 * ((g.n + 63) // 64)), dtype=np.uint8)
     for start in range(0, g.n, _RELABEL_ROWS):
-        dense = np.unpackbits(packed[start : start + _RELABEL_ROWS], axis=1, count=g.n, bitorder="little")
-        rows += _rows_of(np.take(dense, perm, axis=1))  # take: 5-10x faster than dense[:, perm]
-    return order, tuple(rows)
+        dense = np.unpackbits(packed[perm[start : start + _RELABEL_ROWS]], axis=1, count=g.n, bitorder="little")
+        dense = np.take(dense, perm, axis=1)  # take: 5-10x faster than dense[:, perm]
+        rows[start : start + len(dense), : packed.shape[1]] = np.packbits(dense, axis=1, bitorder="little")
+    return order, rows
+
+
+def _search(g: Graph, floor: int, stop_at: int) -> tuple[int, ...] | None:
+    """Branch and bound over the descending-degree relabelling for a clique
+    larger than floor, ending once a clique of stop_at vertices is found: the
+    last best clique in g's labels, sorted and cut to stop_at, or None if none
+    beats floor."""
+    order, rows = _by_degree(g)
+    adj = _ints(rows)
+    best: list = [floor, None]
+    _expand(adj, _complements(adj), (1 << g.n) - 1, [], best, stop_at)
+    return None if best[1] is None else tuple(sorted(order[i] for i in best[1]))[:stop_at]
 
 
 def max_clique_size(g: Graph) -> int:
@@ -244,11 +260,8 @@ def max_clique_size(g: Graph) -> int:
     search ends at a clique of size min(rank, max degree) + 1, and the
     elimination stops at the max degree.
     """
-    order, adj = _by_degree(g)
-    bound = f2_rank(g.adj, stop=g.degree(order[0]) if g.n else 0) + 1
-    best: list = [0, None]
-    _expand(adj, _complements(adj), (1 << g.n) - 1, [], best, bound)
-    return best[0]
+    bound = f2_rank(g.adj, stop=max(map(int.bit_count, g.adj), default=0)) + 1
+    return len(_search(g, 0, bound) or ())
 
 
 def find_clique(g: Graph, t: int) -> tuple[int, ...] | None:
@@ -266,12 +279,9 @@ def find_clique(g: Graph, t: int) -> tuple[int, ...] | None:
     # t - 1; no principal submatrix outranks the whole, so rank < t - 1 is a proof.
     if f2_rank(g.adj, stop=t - 1) < t - 1:
         return None
-    order, adj = _by_degree(g)
-    best: list = [t - 1, None]
-    _expand(adj, _complements(adj), (1 << g.n) - 1, [], best, t)
-    if best[1] is None:
+    witness = _search(g, t - 1, t)
+    if witness is None:
         return None
-    witness = tuple(sorted(order[i] for i in best[1]))[:t]
     for i in range(t):
         for j in range(i + 1, t):
             if not g.has_edge(witness[i], witness[j]):
@@ -347,21 +357,10 @@ def _merge_equal(rows: np.ndarray, mults: np.ndarray) -> tuple[np.ndarray, np.nd
     return rows.take(starts, axis=1), np.add.reduceat(mults[order], starts)
 
 
-def _ordered_above(dense: np.ndarray) -> np.ndarray:
-    """The rows above[v] = the neighbours of v above v, of the graph with the
-    n x n bool adjacency matrix dense relabelled by ascending degree (a
-    stable sort, so ties keep their order), as a word-major (w, n) uint64
-    array: word j of row v is above[j, v], w = ceil(n / 64)."""
-    n = len(dense)
-    order = np.argsort(dense.sum(axis=1), kind="stable")
-    bits = np.zeros((n, 64 * ((n + 63) // 64)), dtype=bool)
-    bits[:, :n] = dense[order][:, order] & ~np.tri(n, dtype=bool)
-    return np.packbits(bits, axis=1, bitorder="little").view("<u8").T.copy()
-
-
-def _count_cliques_by_size(dense: np.ndarray, kmax: int) -> list[int]:
+def _count_cliques_by_size(above: np.ndarray, kmax: int) -> list[int]:
     """counts[k] = number of k-cliques for k = 0..kmax, as Python ints, of the
-    graph with the n x n bool adjacency matrix dense (zero diagonal).
+    graph with the rows above[v] = the neighbours of v above v, word-major:
+    word j of row v is above[j, v], a (ceil(n/64), n) uint64 array.
 
     A partial clique is summed up by its candidates, the vertices above its
     last vertex adjacent to all of it; cliques with equal candidates have
@@ -374,21 +373,20 @@ def _count_cliques_by_size(dense: np.ndarray, kmax: int) -> list[int]:
     in blocks of about _BLOCK_CHILDREN children, which bounds memory
     whatever n and kmax are.
 
-    The vertices are taken by ascending degree (_ordered_above), so the
-    vertices of most neighbours have the fewest above them, which is when
-    listing cliques is cheapest (Chiba & Nishizeki, SIAM J. Comput. 1985).
+    The caller numbers the vertices by ascending degree, so the vertices of
+    most neighbours have the fewest above them, which is when listing
+    cliques is cheapest (Chiba & Nishizeki, SIAM J. Comput. 1985).
     The walk starts from the level-1 rows, the above rows themselves, which
     are nearly always distinct and are not merged. Rows are word-major,
     (w, m) arrays of ceil(n/64) contiguous words, so at n <= 64 every
     gather, AND, popcount and sort runs on 1-D arrays, and past 64 on
     the same code.
     """
-    n = len(dense)
+    n = above.shape[1]
     counts = [1] + [0] * kmax
     if kmax == 0 or n == 0:
         return counts
     counts[1] = n
-    above = _ordered_above(dense)
     # Every multiplicity and count is at most C(n, k) for some k <= kmax;
     # past int64 they are Python ints in an object array.
     exact = np.int64 if math.comb(n, min(kmax, n // 2)) < 2**63 else object
@@ -433,9 +431,12 @@ def independence_profile(g: Graph, s_max: int, *, budget: int = EXACT_COUNT_BUDG
             f"exact independence counting is limited to n <= {budget} (got n={g.n}); "
             "use mc_independence_prob instead"
         )
-    co = dense_adjacency(g) == 0
-    np.fill_diagonal(co, False)
-    return IndependenceProfile(tuple(_count_cliques_by_size(co, s_max)))
+    # the complement's rows above the diagonal: upper clears the rest and the pad bits
+    _, rows = _by_degree(g)
+    bit = np.arange(8 * rows.shape[1])
+    upper = np.packbits((bit > np.arange(g.n)[:, None]) & (bit < g.n), axis=1, bitorder="little")
+    above = (~rows & upper).view("<u8").T.copy()
+    return IndependenceProfile(tuple(_count_cliques_by_size(above, s_max)))
 
 
 # ---------------------------------------------------------------------------

@@ -206,12 +206,6 @@ def _canonical_form(g: Graph) -> bytes:
     return rows[np.lexsort([np.arange(len(rows)), *rows.T[::-1]])[0]].tobytes()
 
 
-def _slot_key(g: Graph) -> tuple:
-    """Order of the pair-slot enumeration: n, then the edge bits of
-    (0,1), (0,2), ..., (n-2,n-1), absent before present."""
-    return g.n, np.packbits(dense_adjacency(g)[~np.tri(g.n, dtype=bool)]).tobytes()
-
-
 def min_independence_prob(
     s: int, t: int, n_max: int, *, dedup_iso: bool = False, budget: int = ENUMERATION_BUDGET
 ) -> SearchResult:
@@ -253,10 +247,13 @@ def min_independence_prob(
         for g in _graphs(parents, picks)
     ]
     if dedup_iso:
-        firsts = {}
-        for g in sorted(witnesses, key=_slot_key):
-            firsts.setdefault((g.n, _canonical_form(g)), g)
-        witnesses = list(firsts.values())
+        # each n's witnesses are closed under relabelling, so a class's least member in
+        # pair-slot order is there, and it is the one whose own pair bits are its canonical form
+        witnesses = [
+            g
+            for g in witnesses
+            if _canonical_form(g) == np.packbits(dense_adjacency(g)[~np.tri(g.n, dtype=bool)]).tobytes()
+        ]
     return SearchResult(
         s=s,
         t=t,

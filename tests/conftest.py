@@ -1,7 +1,9 @@
-"""Shared independent oracles and inputs for the test suite.
+"""Shared independent oracles, helpers and inputs for the test suite.
 
 These deliberately avoid the library's computation paths: the tuple oracle
 iterates all n^s ordered draws, and the subset oracle scans combinations.
+The bit, span and colour helpers and the isotropic subspace enumeration
+have no caller in the library, only in the tests.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from halfmult.coloring import pair_index
+from halfmult.errors import BudgetError
+from halfmult.f2 import _swap_pairs
 from halfmult.graphs import Graph
 from halfmult.rng import make_rng
 
@@ -306,6 +311,78 @@ def oracle_first_clique(g: Graph, t: int | None = None) -> tuple[int, ...] | Non
     if best[1] is None:
         return () if t is None else None
     return tuple(sorted(order[i] for i in best[1]))[: t or None]
+
+
+def pack_bits(bits) -> int:
+    """(b0, b1, ...) -> int with bit i = b_i (LSB = coordinate 0)."""
+    value = 0
+    for i, b in enumerate(bits):
+        if b not in (0, 1):
+            raise ValueError("bits must be 0 or 1")
+        value |= b << i
+    return value
+
+
+def unpack_bits(value: int, dim: int) -> tuple[int, ...]:
+    return tuple((value >> i) & 1 for i in range(dim))
+
+
+def f2_span(basis) -> list[int]:
+    """All 2^k combinations of the basis vectors, sorted."""
+    span = [0]
+    for b in basis:
+        span += [x ^ b for x in span]
+    return sorted(set(span))
+
+
+ENUMERATION_T_BUDGET = 10
+
+
+def enumerate_isotropic_subspaces(t: int, k: int, *, budget: int = ENUMERATION_T_BUDGET) -> list[tuple[int, ...]]:
+    """Every k-dimensional isotropic subspace of F2^(t-2), as canonical basis
+    tuples: the exhaustive oracle for count_isotropic_subspaces.
+
+    The canonical basis of a subspace V is g_1 < g_2 < ... with
+    g_i = min(V minus span of earlier g's); equivalently each g_i has zeros
+    in all earlier pivot positions. Output is sorted by basis encoding, so
+    the order is reproducible.
+    """
+    if t % 2 or t < 2:
+        raise ValueError(f"t must be even and >= 2, got {t}")
+    if not 0 <= k <= t // 2 - 1:
+        raise ValueError(
+            f"no isotropic subspace of dimension {k} in F2^{t - 2}; need 0 <= k <= {t // 2 - 1}"
+        )
+    if t > budget:
+        raise BudgetError(f"exhaustive subspace enumeration is limited to t <= {budget} (got t={t})")
+    dim = t - 2
+    size = 1 << dim
+    results: list[tuple[int, ...]] = []
+
+    def rec(basis: list[int], swapped: list[int], pivots: int, start: int) -> None:
+        if len(basis) == k:
+            results.append(tuple(basis))
+            return
+        for w in range(start, size):
+            if w & pivots:
+                continue  # not the minimum of its coset
+            if any((sw & w).bit_count() & 1 for sw in swapped):
+                continue  # not orthogonal to the current span
+            basis.append(w)
+            swapped.append(_swap_pairs(w, dim))
+            rec(basis, swapped, pivots | (1 << (w.bit_length() - 1)), w + 1)
+            swapped.pop()
+            basis.pop()
+
+    rec([], [], 0, 1)
+    return results
+
+
+def color_of(cert, u: int, v: int) -> int:
+    """The colour of the pair {u, v} in a certificate."""
+    if u > v:
+        u, v = v, u
+    return cert.colors[pair_index(u, v, cert.n)]
 
 
 def oracle_n_recursion(s_max: int, t_max: int, tol: float = 1e-12) -> dict:

@@ -27,12 +27,12 @@ from halfmult.coloring import (
     pair_index,
     verify_certificate,
 )
-from halfmult.f2 import build_cf_graph, count_isotropic_subspaces, enumerate_isotropic_subspaces
+from halfmult.f2 import build_cf_graph, count_isotropic_subspaces
 from halfmult.graphs import complete, cycle, has_clique, sample_er_graph, to_graph6
 from halfmult.prob import exact_independence_prob, mc_independence_prob
 from halfmult.search import min_independence_prob, pentagon_coloring, verify_r33
 
-from conftest import oracle_independence_prob
+from conftest import color_of, enumerate_isotropic_subspaces, oracle_independence_prob
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -254,7 +254,7 @@ def test_criterion_10_construction_round_trip():
             continue
         w = result.witness
         if all(
-            bad.color_of(w[i], w[j]) == result.violating_color
+            color_of(bad, w[i], w[j]) == result.violating_color
             for i in range(4)
             for j in range(i + 1, 4)
         ):

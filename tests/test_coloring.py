@@ -20,7 +20,7 @@ from halfmult.f2 import build_cf_graph
 from halfmult.graphs import complete, cycle, has_clique
 from halfmult.search import pentagon_coloring
 
-from conftest import REPEATED_FIELDS, oracle_color_class
+from conftest import REPEATED_FIELDS, color_of, oracle_color_class
 
 
 def _pentagon_certificate() -> ColoringCertificate:
@@ -203,7 +203,7 @@ def test_verifier_witness_is_genuine():
         w = result.witness
         for i in range(4):
             for j in range(i + 1, 4):
-                assert bad.color_of(w[i], w[j]) == result.violating_color
+                assert color_of(bad, w[i], w[j]) == result.violating_color
     assert rejected == 50
 
 

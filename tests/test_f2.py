@@ -11,13 +11,11 @@ from halfmult.f2 import (
     cf_counts,
     cf_dimension,
     count_isotropic_subspaces,
-    enumerate_isotropic_subspaces,
     f2_rank,
-    f2_span,
-    pack_bits,
-    unpack_bits,
 )
 from halfmult.graphs import find_clique, has_clique, independence_profile, max_clique_size
+
+from conftest import enumerate_isotropic_subspaces, f2_span, pack_bits, unpack_bits
 
 
 def test_pack_unpack_roundtrip():

@@ -14,7 +14,6 @@ from halfmult.graphs import (
     complement,
     complete,
     cycle,
-    dense_adjacency,
     edgeless,
     f2_rank,
     find_clique,
@@ -308,7 +307,10 @@ def test_relabel_by_degree_matches_edge_loop(n, block, monkeypatch):
     rng = np.random.default_rng(n)
     for p in (0.0, 0.3, 1.0):
         g = from_pairs(n, rng.random(n * (n - 1) // 2) < p)
-        assert graphs._by_degree(g) == oracle_by_degree(g)
+        order, rows = graphs._by_degree(g)
+        assert rows.dtype == np.uint8 and rows.shape == (n, 8 * ((n + 63) // 64))
+        assert not rows[:, (n + 7) // 8 :].any()  # the pad bytes, out to whole uint64 words
+        assert (order, graphs._ints(rows)) == oracle_by_degree(g)
 
 
 def test_packed_adjacency_matches_edges():
@@ -503,12 +505,19 @@ def _word_major_rows(above: np.ndarray) -> list[int]:
 
 
 @pytest.mark.parametrize("n", [5, 64, 65, 130])
-def test_counting_takes_vertices_by_ascending_degree(n):
+def test_counting_takes_vertices_by_ascending_degree(n, monkeypatch):
+    seen = []
+    kernel = graphs._count_cliques_by_size
+    monkeypatch.setattr(graphs, "_count_cliques_by_size", lambda above, kmax: seen.append(above) or kernel(above, kmax))
+
+    def counted(g):
+        """The above rows of g, as the counting kernel takes them from independence_profile on g's complement."""
+        independence_profile(complement(g), 2, budget=n)
+        return seen.pop()
+
     # a star centred on vertex 0: by ascending degree the centre comes last, so each leaf has
     # one vertex above it, the centre none; in file order the centre would have all n - 1
-    star = np.zeros((n, n), dtype=bool)
-    star[0, 1:] = star[1:, 0] = True
-    above = graphs._ordered_above(star)
+    above = counted(from_edges(n, [(0, v) for v in range(1, n)]))
     assert above.shape == ((n + 63) // 64, n)
     assert graphs._popcounts(above).tolist() == [1] * (n - 1) + [0]
     assert all(above[(n - 1) // 64, v] == np.uint64(1) << np.uint64((n - 1) % 64) for v in range(n - 1))
@@ -516,7 +525,7 @@ def test_counting_takes_vertices_by_ascending_degree(n):
     g = sample_er_graph(n, 3 / n, n)
     order = sorted(range(n), key=g.degree)
     rows = [sum(1 << j for j in range(i + 1, n) if g.has_edge(order[i], order[j])) for i in range(n)]
-    assert _word_major_rows(graphs._ordered_above(dense_adjacency(g).astype(bool))) == rows
+    assert _word_major_rows(counted(g)) == rows
 
 
 def test_independence_profile_hereditary_and_budget():
