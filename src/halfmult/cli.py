@@ -229,10 +229,12 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_optimize_p(args) -> int:
     if args.s_equals_t:
+        if args.s is not None or args.t is not None:
+            raise FormatError("--s-equals-t takes no --s or --t: it reports the rate at s = t = 1")
         s = t = 1  # the normalized rate at s=t is independent of t
     else:
         if args.s is None or args.t is None:
-            raise ValueError("provide --s and --t, or --s-equals-t")
+            raise FormatError("provide both --s and --t, or --s-equals-t")
         s, t = args.s, args.t
         if s < 1 or t < 1:
             raise ValueError(f"--s and --t must be positive, got s={s}, t={t}")

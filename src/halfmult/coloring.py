@@ -3,9 +3,10 @@
 The construction colors the edges of K_n with ell colors: ell-2 random maps
 into a clique-free base graph assign the first colors (minimal index whose
 map sends the pair to an edge), and pairs missed by every map get one of the
-last two colors by a fair coin. A certificate records the full coloring and
-is verified from the color array alone; the verifier never trusts the seed
-or the base graph.
+last two colors by a fair coin. A certificate records the full coloring as
+one read-only colour array, validated against its header once, when the
+certificate is made; it is verified from that array alone, and the verifier
+never trusts the seed or the base graph.
 
 Certificate file layout (ASCII, one field per line, then the array):
 
@@ -41,21 +42,48 @@ def pair_index(u: int, v: int, n: int) -> int:
     return u * n - u * (u + 1) // 2 + (v - u - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ColoringCertificate:
-    """An explicit ell-coloring of K_n with provenance."""
+    """An explicit ell-coloring of K_n with provenance. colors is copied at
+    construction into a read-only exact array, checked against the header:
+    int64 where numpy reads the colours as integers, else an object array of
+    Python ints, which compares them as Python does (numpy reads colours at
+    or beyond 2^63 as floats)."""
 
     n: int
     ell: int
     t: int
-    colors: tuple[int, ...]
+    colors: np.ndarray
     base_graph: str
     seed: int
     attempts_used: int
 
+    def __post_init__(self) -> None:
+        colors = np.array(self.colors)
+        if colors.dtype.kind != "i":
+            colors = np.array(self.colors, dtype=object)
+        colors.flags.writeable = False
+        object.__setattr__(self, "colors", colors)
+        if self.n < 1 or self.ell < 2 or self.t < 2:
+            raise CertificateFormatError(
+                f"need n >= 1, ell >= 2, t >= 2; got n={self.n}, ell={self.ell}, t={self.t}"
+            )
+        expected = self.n * (self.n - 1) // 2
+        if len(colors) != expected:
+            raise CertificateFormatError(f"color array has {len(colors)} entries, expected {expected}")
+        bad = (colors < 1) | (colors > self.ell)
+        if bad.any():
+            raise CertificateFormatError(f"color {colors[bad.argmax()]} outside 1..{self.ell}")
+
+    def __eq__(self, other) -> bool:
+        """Certificates are equal when they write the same file."""
+        if not isinstance(other, ColoringCertificate):
+            return NotImplemented
+        return self.to_text() == other.to_text()
+
     def color_class(self, c: int) -> Graph:
         """The graph formed by edges of color c."""
-        return from_pairs(self.n, _color_array(self.colors) == c)
+        return from_pairs(self.n, self.colors == c)
 
     def to_text(self) -> str:
         return (
@@ -66,16 +94,8 @@ class ColoringCertificate:
             f"base_graph: {self.base_graph}\n"
             f"seed: {self.seed}\n"
             f"attempts_used: {self.attempts_used}\n"
-            f"colors: {','.join(map(str, self.colors))}\n"
+            f"colors: {','.join(map(str, self.colors.tolist()))}\n"
         )
-
-
-def _color_array(colors) -> np.ndarray:
-    """colors as an exact array: int64 where numpy reads them as integers,
-    else an object array of the colours themselves, which compares them as
-    Python does (numpy reads colours at or beyond 2^63 as floats)."""
-    array = np.array(colors)
-    return array if array.dtype.kind == "i" else np.array(colors, dtype=object)
 
 
 def certificate_from_text(text: str) -> ColoringCertificate:
@@ -107,32 +127,12 @@ def certificate_from_text(text: str) -> ColoringCertificate:
         attempts_used = int(fields["attempts_used"])
         entries = fields["colors"].split(",") if fields["colors"] else []
         try:
-            array = np.array(entries, dtype=np.int64)  # converts each entry as int() does
+            colors = np.array(entries, dtype=np.int64)  # converts each entry as int() does
         except (ValueError, OverflowError):
-            array = _color_array([int(c) for c in entries])  # int() names the first entry it cannot read
-        colors = tuple(array.tolist())
+            colors = [int(c) for c in entries]  # int() names the first entry it cannot read
     except ValueError as exc:
         raise CertificateFormatError(f"non-integer field: {exc}") from None
-    cert = ColoringCertificate(n, ell, t, colors, fields["base_graph"], seed, attempts_used)
-    _check_shape(cert, array)
-    return cert
-
-
-def _check_shape(cert: ColoringCertificate, colors: np.ndarray) -> None:
-    """Check the header and the colours against each other. colors is
-    cert.colors as an exact array, range-checked at once."""
-    if cert.n < 1 or cert.ell < 2 or cert.t < 2:
-        raise CertificateFormatError(
-            f"need n >= 1, ell >= 2, t >= 2; got n={cert.n}, ell={cert.ell}, t={cert.t}"
-        )
-    expected = cert.n * (cert.n - 1) // 2
-    if len(cert.colors) != expected:
-        raise CertificateFormatError(
-            f"color array has {len(cert.colors)} entries, expected {expected}"
-        )
-    bad = (colors < 1) | (colors > cert.ell)
-    if bad.any():
-        raise CertificateFormatError(f"color {colors[bad.argmax()]} outside 1..{cert.ell}")
+    return ColoringCertificate(n, ell, t, colors, fields["base_graph"], seed, attempts_used)
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,9 @@ def verify_certificate(cert: ColoringCertificate) -> VerifyResult:
     """Check the class of every color in the array for a K_t, independently
     of how the certificate was produced. Returns the first violating color
     and a clique witness on failure."""
-    colors = _color_array(cert.colors)
-    _check_shape(cert, colors)
-    # an absent colour has an edgeless class, which holds no K_t for t >= 2
-    return _verify_classes(colors, cert.n, cert.t, sorted(set(cert.colors)))
+    # an absent colour has an edgeless class, which holds no K_t for t >= 2;
+    # the palette holds Python ints, so a violating colour reports as one
+    return _verify_classes(cert.colors, cert.n, cert.t, sorted(set(cert.colors.tolist())))
 
 
 @dataclass(frozen=True)
@@ -242,7 +241,7 @@ def construct_coloring(
                 n=n,
                 ell=ell,
                 t=t,
-                colors=tuple(colors.tolist()),
+                colors=colors,
                 base_graph=base_label,
                 seed=seed,
                 attempts_used=attempt + 1,

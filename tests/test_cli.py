@@ -304,6 +304,8 @@ def test_cf_spec_with_odd_t_is_domain_error(capsys):
         (["search", "--s", "2", "--t", "3", "--max-n", "-1"], 1),
         (["cf", "--t", "100000"], 1),
         (["exact", "--in", "cf:5000", "--s", "3"], 1),
+        (["optimize-p", "--s-equals-t", "--s", "3", "--t", "5"], 2),
+        (["optimize-p", "--s", "3"], 2),
     ],
     ids=[
         "p-value-zero-denominator",
@@ -325,6 +327,8 @@ def test_cf_spec_with_odd_t_is_domain_error(capsys):
         "search-max-n-negative",
         "cf-t-past-int-printing",
         "exact-cf-thousands-of-digits",
+        "optimize-p-s-equals-t-with-s-and-t",
+        "optimize-p-s-without-t",
     ],
 )
 def test_bad_inputs_exit_cleanly(capsys, tmp_path, argv, expected):
@@ -348,6 +352,11 @@ def test_bad_inputs_exit_cleanly(capsys, tmp_path, argv, expected):
         (["search", "--s", "2", "--t", "3", "--max-n", "0"], "error: n_max must be at least 1, got 0\n"),
         (["cf", "--t", "100000"], "error: 2^(t-2) = 2^99998 exceeds the vertex budget 16384\n"),
         (["exact", "--in", "cf:5000", "--s", "3"], "error: 2^(t-2) = 2^4998 exceeds the vertex budget 16384\n"),
+        (
+            ["optimize-p", "--s-equals-t", "--s", "3", "--t", "5"],
+            "format error: --s-equals-t takes no --s or --t: it reports the rate at s = t = 1\n",
+        ),
+        (["optimize-p", "--s", "3"], "format error: provide both --s and --t, or --s-equals-t\n"),
     ],
 )
 def test_bad_values_name_the_argument(capsys, argv, message):

@@ -2,6 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from halfmult import coloring, graphs
@@ -256,7 +257,7 @@ def test_colours_parse_as_int_reads_them():
     # int() accepts signs, spaces and non-ASCII digits; so does the parser
     text = "halfmult-certificate v1\nn: 3\nell: 2\nt: 3\nbase_graph: none\nseed: 0\nattempts_used: 0\n"
     cert = certificate_from_text(text + "colors: +1, 2,\u0661\n")
-    assert cert.colors == (1, 2, 1) and all(type(c) is int for c in cert.colors)
+    assert cert.colors.tolist() == [1, 2, 1] and cert.colors.dtype == np.int64
     with pytest.raises(CertificateFormatError, match="color 9223372036854775808 outside 1..2"):
         verify_certificate(ColoringCertificate(3, 2, 3, (1, 2**63, 1), "none", 0, 0))
 
@@ -275,6 +276,56 @@ def test_colours_beyond_int64_are_told_apart():
     assert cert.color_class(2**63).edge_count == 2
     with pytest.raises(CertificateFormatError, match=f"color {2**64 + 1} outside 1..{2**64}"):
         verify_certificate(ColoringCertificate(4, 2**64, 3, (1, 2**63, 2**64 + 1, 1, 1, 1), "none", 0, 0))
+
+
+@pytest.mark.parametrize(
+    "n, ell, colors, message",
+    [
+        (5, 2, (1, 2), "color array has 2 entries, expected 10"),
+        (3, 2, (1, 2, 3), "color 3 outside 1..2"),
+        (3, 2, [1, 0, 2], "color 0 outside 1..2"),
+        (3, 1, (1, 1, 1), "need n >= 1, ell >= 2, t >= 2; got n=3, ell=1, t=3"),
+    ],
+    ids=["short", "above-ell", "zero", "ell-one"],
+)
+def test_construction_checks_the_shape(n, ell, colors, message):
+    with pytest.raises(CertificateFormatError) as exc:
+        ColoringCertificate(n, ell, 3, colors, "none", 0, 0)
+    assert str(exc.value) == message
+
+
+def test_certificate_owns_a_read_only_copy():
+    mine = [1, 2, 1]
+    mine_array = np.array(mine)
+    from_list = ColoringCertificate(3, 2, 3, mine, "none", 0, 0)
+    from_array = ColoringCertificate(3, 2, 3, mine_array, "none", 0, 0)
+    mine[0] = 2
+    mine_array[0] = 2
+    assert mine_array.flags.writeable
+    for cert in (from_list, from_array):
+        assert cert.colors.tolist() == [1, 2, 1]
+        assert not cert.colors.flags.writeable
+        with pytest.raises(ValueError):
+            cert.colors[0] = 2
+
+
+@pytest.mark.parametrize("c, ell, dtype", [(1, 2, np.int64), (2**63, 2**64, object)], ids=["int64", "past-int64"])
+def test_violating_colour_is_a_python_int(c, ell, dtype):
+    cert = ColoringCertificate(3, ell, 3, (c, c, c), "none", 0, 0)
+    assert cert.colors.dtype == dtype
+    result = verify_certificate(cert)
+    assert (result.valid, result.violating_color, result.witness) == (False, c, (0, 1, 2))
+    assert type(result.violating_color) is int
+
+
+def test_one_vertex_certificate_round_trips():
+    cert = ColoringCertificate(1, 2, 3, (), "none", 0, 0)
+    assert cert.colors.size == 0
+    text = cert.to_text()
+    assert text.endswith("colors: \n")
+    parsed = certificate_from_text(text)
+    assert parsed == cert
+    assert verify_certificate(cert).valid and verify_certificate(parsed).valid
 
 
 def test_sizing_examples():
