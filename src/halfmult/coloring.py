@@ -125,11 +125,13 @@ def certificate_from_text(text: str) -> ColoringCertificate:
         t = int(fields["t"])
         seed = int(fields["seed"])
         attempts_used = int(fields["attempts_used"])
-        entries = fields["colors"].split(",") if fields["colors"] else []
+        text_colors = fields["colors"]
+        # the split list lives only in this call, so it is gone before the certificate copies
+        # the array; the array converts each entry as int() does
         try:
-            colors = np.array(entries, dtype=np.int64)  # converts each entry as int() does
+            colors = np.array(text_colors.split(",") if text_colors else [], dtype=np.int64)
         except (ValueError, OverflowError):
-            colors = [int(c) for c in entries]  # int() names the first entry it cannot read
+            colors = [int(c) for c in text_colors.split(",")]  # int() names the first entry it cannot read
     except ValueError as exc:
         raise CertificateFormatError(f"non-integer field: {exc}") from None
     return ColoringCertificate(n, ell, t, colors, fields["base_graph"], seed, attempts_used)

@@ -9,11 +9,12 @@ K_t-freeness is hereditary, so depth n of the tree holds each labeled
 K_t-free graph on n vertices exactly once, and one pass covers every
 n <= n_max. Each graph carries tables over its vertex masks m, updated
 incrementally from its parent's: the clique number of G[m], which gives
-the admissible S, and one weighted sum of the independence profile of
-G[m], from which each child's count of independent s-tuples follows by one
-lookup, as I_k(G+v) = I_k(G) + I_{k-1}(G - N[v]). The walk runs in blocks
-of same-size graphs from any parents, capped by the table entries a step
-creates, so its memory stays at a few MB and its Python steps are few.
+the admissible S, and a list of shifted weighted sums of the independence
+profile of G[m], all following one rule as I_k(G+v) = I_k(G) +
+I_{k-1}(G - N[v]), from which each child's count of independent s-tuples
+follows by one lookup. The walk runs in blocks of same-size graphs from
+any parents, capped by the table entries a step creates, so its memory
+stays at a few MB and its Python steps are few.
 
 Reported minima are restricted to the scanned vertex range; they equal the
 true infimum only where a matching lower bound is known (s=2 via Turan,
@@ -66,16 +67,17 @@ def _grow(n_max: int, t: int | None, s: int = 0):
 
     A block is a set of graphs on n vertices, from any parents: their paths,
     their W, and tables over their 2^n vertex masks m. omega[m] is the
-    clique number of G[m], and
-        wsum[m] = sum over k of k! S(s,k) I_{k-1}(G[m])
-    counts the independent s-tuples of G[m] + v that use the new vertex v,
-    so the child with neighbourhood S has W + wsum[full ^ S], one lookup.
-    psum is the same sum over I_{k-2}, and prof holds I_1, I_2, ...; each
-    table is kept only where a later level reads it. On the masks m | 1 << n
-    of the child with neighbourhood S:
-        omega'[m | 1 << n] = max(omega[m], 1 + omega[m & S])
-        wsum'[m | 1 << n]  = wsum[m] + psum[m & ~S]
-        I_k'[m | 1 << n]   = I_k[m] + I_{k-1}[m & ~S]
+    clique number of G[m], and the list sums holds, for j = 0, 1, ...,
+        sums[j][m] = sum over k of k! S(s,k) I_{k-1-j}(G[m]),
+    the independent s-tuples of G[m] plus j + 1 isolated new vertices that
+    use all of them. So the child with neighbourhood S has
+    W + sums[0][full ^ S], one lookup. On the masks m | 1 << n of that child,
+    as I_k(G + v) = I_k(G) + I_{k-1}(G - N[v]),
+        omega'[m | 1 << n]   = max(omega[m], 1 + omega[m & S])
+        sums'[j][m | 1 << n] = sums[j][m] + sums[j+1][m & ~S]
+    where a sums[j+1] past the list is zero. The root has min(s, n_max)
+    tables (one for s = 0), and a child on n + 1 vertices keeps at most
+    n_max - n - 1, the ones a later level reads.
     Each step takes the next children of the top block, as many as make at
     most _BLOCK_ENTRIES new table entries, and pushes them as one block. So
     Python runs once per step, not per graph or family, and the walk holds
@@ -83,40 +85,28 @@ def _grow(n_max: int, t: int | None, s: int = 0):
     """
     if n_max < 1:
         return
-    # W <= n_max^s, and so are the weights, wsum and psum, which count some
-    # of the tuples of a graph on at most n_max vertices: they take the
-    # smallest signed integer type that holds n_max^s, or Python ints past
-    # int64. prof lives on graphs on at most n_max - 2 vertices, so its
-    # counts are binomial coefficients at most.
-    cols = min(s, n_max)
+    # Every entry of W and of sums counts some of the s-tuples of a graph on at most
+    # n_max vertices, so it is at most n_max^s: they take the smallest signed integer
+    # type that holds n_max^s, or Python ints past int64.
     exact = next((d for d in (np.int8, np.int16, np.int32, np.int64) if n_max**s <= np.iinfo(d).max), object)
-    weights = np.array([math.factorial(k) * stirling2(s, k) for k in range(1, cols + 1)], dtype=exact)
     limit = n_max if t is None else t - 2
-    count_type = np.min_scalar_type(math.comb(n_max, n_max // 2))
-
-    def psum_of(prof: np.ndarray) -> np.ndarray:
-        if cols < 2:
-            return np.zeros(prof.shape[:2], exact)
-        return (weights[1] + prof @ weights[2:]).astype(exact, copy=False)
-
-    # The root is the empty graph, on one mask with I_0 = 1 and clique number 0.
-    # A block is (paths, W, wsum, omega, psum, prof, picks), with picks the
+    # The root is the empty graph, on one mask with I_0 = 1 and clique number 0, so its
+    # tables are the weights. A block is (paths, W, sums, omega, picks), with picks the
     # flat table positions row << n | S of the children still to take.
-    prof = np.zeros((1, 1, max(cols - 2, 0)), count_type)
-    wsum = np.array([[weights[0] if cols else 0]], dtype=exact)
-    root = (np.zeros((1, 0), np.int64), np.zeros(1, exact), wsum, np.zeros((1, 1), np.int8), psum_of(prof), prof)
+    sums = [np.array([[math.factorial(k) * stirling2(s, k)]], exact) for k in range(1, max(min(s, n_max), 1) + 1)]
+    root = (np.zeros((1, 0), np.int64), np.zeros(1, exact), sums, np.zeros((1, 1), np.int8))
     stack = [(*root, np.zeros(1, np.intp))]
     while stack:
-        paths, W, wsum, omega, psum, prof, picks = stack.pop()
+        paths, W, sums, omega, picks = stack.pop()
         n = paths.shape[1]
         grows = n + 1 < n_max  # the children get tables
         take = max(1, _BLOCK_ENTRIES >> (n + 1)) if grows else _BLOCK_ENTRIES
         if take < len(picks):
-            stack.append((paths, W, wsum, omega, psum, prof, picks[take:]))
+            stack.append((paths, W, sums, omega, picks[take:]))
             picks = picks[:take]
         full = (1 << n) - 1
         rows = picks >> n
-        child_W = W[rows] + wsum.ravel()[picks ^ full]
+        child_W = W[rows] + sums[0].ravel()[picks ^ full]
         yield n + 1, paths, picks, child_W
         if not grows:
             continue
@@ -128,26 +118,18 @@ def _grow(n_max: int, t: int | None, s: int = 0):
         child_omega[:, :half] = omega[rows]
         np.maximum(child_omega[:, :half], omega.ravel()[base | (masks & S[:, None])] + 1, out=child_omega[:, half:])
         outside = base | (masks & (full ^ S)[:, None])
-        child_wsum = np.empty((len(rows), 2 * half), exact)
-        child_wsum[:, :half] = wsum[rows]
-        np.add(child_wsum[:, :half], psum.ravel()[outside], out=child_wsum[:, half:])
-        if n + 2 < n_max:
-            child_prof = np.empty((len(rows), 2 * half, prof.shape[2]), count_type)
-            child_prof[:, :half] = prof[rows]
-            child_prof[:, half:] = child_prof[:, :half]
-            if prof.shape[2]:
-                child_prof[:, half:, 0] += 1
-                child_prof[:, half:, 1:] += prof.reshape(-1, prof.shape[2])[outside, :-1]
-            child_psum = psum_of(child_prof)
-            if n + 3 == n_max:  # the child's children get no profile
-                child_prof = None
-        else:
-            child_prof = child_psum = None
+        child_sums = []
+        for j in range(min(len(sums), n_max - n - 1)):
+            table = np.empty((len(rows), 2 * half), exact)
+            table[:, :half] = sums[j][rows]
+            # a sum past the list is zero
+            np.add(table[:, :half], sums[j + 1].ravel()[outside] if j + 1 < len(sums) else 0, out=table[:, half:])
+            child_sums.append(table)
         child_paths = np.empty((len(rows), n + 1), np.int64)
         child_paths[:, :n] = paths[rows]
         child_paths[:, n] = S
         picks = np.flatnonzero(child_omega <= limit)
-        stack.append((child_paths, child_W, child_wsum, child_omega, child_psum, child_prof, picks))
+        stack.append((child_paths, child_W, child_sums, child_omega, picks))
 
 
 def _graphs(parents: np.ndarray, picks: np.ndarray) -> list[Graph]:
@@ -190,9 +172,11 @@ def _relabeled_pairs(n: int) -> np.ndarray:
     """Row k holds p[u] * n + p[v] over the pairs u < v in pair-slot order,
     for the k-th relabeling p of n vertices: the flat indices of a dense
     adjacency matrix that read the relabeled graph's pair bits."""
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    # uint8 holds every index, as n^2 <= 100 under ISOMORPHISM_KEY_LIMIT
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    perms = np.fromiter(flat, np.uint8, math.factorial(n) * n).reshape(math.factorial(n), n)
     u, v = np.triu_indices(n, 1)
-    return perms[:, u] * n + perms[:, v]
+    return (perms[:, u] * n + perms[:, v]).astype(np.intp)
 
 
 def _canonical_form(g: Graph) -> bytes:
