@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph, f2_rank  # f2_rank: the one elimination, shared with the clique proofs
-
-GRAPH_VERTEX_BUDGET = 1 << 14
+from .graphs import GRAPH_VERTEX_BUDGET, Graph, f2_rank  # f2_rank: the one elimination, shared with the clique proofs
 
 
 def _swap_pairs(v, dim: int):

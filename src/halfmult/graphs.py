@@ -16,6 +16,7 @@ from .errors import BudgetError
 from .rng import make_rng
 
 EXACT_COUNT_BUDGET = 64
+GRAPH_VERTEX_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -97,10 +98,13 @@ def sample_er_graph(n: int, p: float, seed: int) -> Graph:
     Stream discipline: exactly one uniform draw per unordered pair, in
     lexicographic order (0,1), (0,2), ..., (n-2,n-1); the pair is an edge
     iff its draw is < p. This makes samples independent of chunking,
-    threading, and platform.
+    threading, and platform. Graphs past GRAPH_VERTEX_BUDGET vertices
+    raise BudgetError before any draw.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > GRAPH_VERTEX_BUDGET:
+        raise BudgetError(f"n = {n} exceeds the vertex budget {GRAPH_VERTEX_BUDGET}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
     return from_pairs(n, make_rng(seed).random(n * (n - 1) // 2) < p)
@@ -111,11 +115,6 @@ def packed_adjacency(g: Graph) -> np.ndarray:
     width = (g.n + 7) // 8
     data = b"".join(row.to_bytes(width, "little") for row in g.adj)
     return np.frombuffer(data, dtype=np.uint8).reshape(g.n, width)
-
-
-def dense_adjacency(g: Graph) -> np.ndarray:
-    """Adjacency as an n x n 0/1 uint8 matrix: entry [v, u] is bit u of row v."""
-    return np.unpackbits(packed_adjacency(g), axis=1, count=g.n, bitorder="little")
 
 
 def adjacent(packed: np.ndarray, u, v) -> np.ndarray:
@@ -456,7 +455,7 @@ def _g6_size_bytes(n: int) -> bytes:
 
 def to_graph6(g: Graph) -> str:
     """Encode as a graph6 line (no header, no newline)."""
-    bits = dense_adjacency(g)[np.tri(g.n, k=-1, dtype=bool)]  # row v, columns u < v, in turn
+    bits = np.unpackbits(packed_adjacency(g), axis=1, count=g.n, bitorder="little")[np.tri(g.n, k=-1, dtype=bool)]
     groups = np.zeros((len(bits) + 5) // 6 * 6, dtype=np.uint8)  # zero-padded to whole groups
     groups[: len(bits)] = bits
     body = (np.packbits(groups.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63  # six bits a byte, first bit highest

@@ -19,26 +19,16 @@ from .f2 import SymplecticSpace
 from .graphs import EXACT_COUNT_BUDGET, Graph, adjacent, independence_profile, packed_adjacency
 from .rng import make_rng
 
-_STIRLING_ROWS: list[list[int]] = [[1]]
-
-
 def stirling2(s: int, k: int) -> int:
     """Stirling number of the second kind: partitions of an s-set into k blocks.
 
-    Rows are cached; S(s,k) = k*S(s-1,k) + S(s-1,k-1).
+    By the explicit sum k! S(s,k) = sum_j (-1)^(k-j) C(k,j) j^s, the
+    surjections of an s-set onto a k-set: k powers, and no table of the
+    smaller s.
     """
     if s < 0 or k < 0:
         raise ValueError("stirling2 arguments must be nonnegative")
-    if k > s:
-        return 0
-    while len(_STIRLING_ROWS) <= s:
-        prev = _STIRLING_ROWS[-1]
-        m = len(_STIRLING_ROWS)
-        row = [0] * (m + 1)
-        for j in range(1, m + 1):
-            row[j] = j * (prev[j] if j < len(prev) else 0) + prev[j - 1]
-        _STIRLING_ROWS.append(row)
-    return _STIRLING_ROWS[s][k]
+    return sum((-1) ** (k - j) * math.comb(k, j) * j**s for j in range(k + 1)) // math.factorial(k)
 
 
 def exact_independence_prob(g: Graph, s: int, *, budget: int = EXACT_COUNT_BUDGET) -> Fraction:

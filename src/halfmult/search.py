@@ -23,8 +23,6 @@ and (3,3)).
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,12 +31,10 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetError
-from .graphs import Graph, complement, dense_adjacency, from_edges, has_clique, to_graph6
+from .graphs import Graph, complement, from_edges, has_clique, to_graph6
 from .prob import stirling2
 
 ENUMERATION_BUDGET = 8
-# isomorphism keys gather over a table of all n! relabelings: 1.3 GB of indices at n = 10
-ISOMORPHISM_KEY_LIMIT = 10
 
 
 def _check_scope(n_max: int, t: int | None, budget: int) -> None:
@@ -62,7 +58,8 @@ def _grow(n_max: int, t: int | None, s: int = 0):
     whose paths are parents[picks[j] >> (n - 1)] followed by
     S = picks[j] & (2^(n-1) - 1), each graph yielded once, with W[j] the
     number of ordered s-tuples of its vertices that form an independent set
-    (zero for s = 0); _graphs builds the graphs of the picks a caller keeps.
+    (zero for s = 0); _paths gives the paths of the picks a caller keeps,
+    and _graphs their graphs.
     t=None admits every neighbourhood.
 
     A block is a set of graphs on n vertices, from any parents: their paths,
@@ -132,13 +129,17 @@ def _grow(n_max: int, t: int | None, s: int = 0):
         stack.append((child_paths, child_W, child_sums, child_omega, picks))
 
 
-def _graphs(parents: np.ndarray, picks: np.ndarray) -> list[Graph]:
-    """The graphs at the flat positions picks, row << k | S, into the paths
-    parents of graphs on k vertices, as _grow yields them."""
+def _paths(parents: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """The paths of the graphs at the flat positions picks, row << k | S,
+    into the paths parents of graphs on k vertices, as _grow yields them."""
     k = parents.shape[1]
-    paths = np.column_stack([parents[picks >> k], picks & ((1 << k) - 1)])
+    return np.column_stack([parents[picks >> k], picks & ((1 << k) - 1)])
+
+
+def _graphs(paths: np.ndarray) -> list[Graph]:
+    """The graphs of paths, one row of neighbour bitsets below each vertex a graph."""
     adj = paths.copy()
-    n = k + 1
+    n = paths.shape[1]
     for v in range(1, n):
         for u in range(v):
             adj[:, u] |= (paths[:, v] >> u & 1) << v
@@ -154,7 +155,7 @@ def enumerate_ktfree(n: int, t: int | None, *, budget: int = ENUMERATION_BUDGET)
     if n < 1:
         raise ValueError("n must be at least 1")
     _check_scope(n, t, budget)
-    return (g for depth, parents, picks, _ in _grow(n, t) if depth == n for g in _graphs(parents, picks))
+    return (g for depth, parents, picks, _ in _grow(n, t) if depth == n for g in _graphs(_paths(parents, picks)))
 
 
 @dataclass(frozen=True)
@@ -167,27 +168,42 @@ class SearchResult:
     graphs_scanned: int
 
 
-@functools.cache
-def _relabeled_pairs(n: int) -> np.ndarray:
-    """Row k holds p[u] * n + p[v] over the pairs u < v in pair-slot order,
-    for the k-th relabeling p of n vertices: the flat indices of a dense
-    adjacency matrix that read the relabeled graph's pair bits."""
-    # uint8 holds every index, as n^2 <= 100 under ISOMORPHISM_KEY_LIMIT
-    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    perms = np.fromiter(flat, np.uint8, math.factorial(n) * n).reshape(math.factorial(n), n)
-    u, v = np.triu_indices(n, 1)
-    return (perms[:, u] * n + perms[:, v]).astype(np.intp)
+def _canonical_form(paths: np.ndarray) -> np.ndarray:
+    """The positions in paths, the paths of a set of graphs on one n that is
+    closed under relabelling, of each isomorphism class's least member in
+    pair-slot order; raises AssertionError if the set is not closed.
 
+    The swaps of vertices i and i + 1 generate every relabelling, so the
+    classes are the components of the graph that joins each member to its
+    swap images. The members are sorted by pair string, each image is found
+    by binary search, and each component's least sorted position spreads
+    through it by pointer jumping.
+    """
+    m, n = paths.shape
+    u, v = np.triu_indices(n, 1)  # the pairs in pair-slot order
 
-def _canonical_form(g: Graph) -> bytes:
-    """The least pair-bit string over all vertex relabelings, packed eight
-    pairs a byte with the first pair highest, so that bytes compare as the
-    bit strings do. Graphs on the same number of vertices are isomorphic iff
-    their forms are equal."""
-    rows = np.packbits(dense_adjacency(g).ravel()[_relabeled_pairs(g.n)], axis=1)
-    # lexsort's last key is its primary one; the row number, its first, only breaks ties and
-    # keeps the key list nonempty when g has no pairs
-    return rows[np.lexsort([np.arange(len(rows)), *rows.T[::-1]])[0]].tobytes()
+    def keys(p):
+        # the pair strings of the graphs relabelled by the involution p, packed eight pairs a
+        # byte with the first pair highest, so that keys compare as the strings do, and with
+        # zero bits past the pairs, so that no key is empty
+        a, b = p[u], p[v]
+        packed = np.zeros((m, len(u) // 8 + 1), np.uint8)
+        packed[:, : (len(u) + 7) // 8] = np.packbits(paths[:, np.maximum(a, b)] >> np.minimum(a, b) & 1, axis=1)
+        return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+    ranked = keys(np.arange(n))
+    order = np.argsort(ranked)
+    ranked = ranked[order]
+    images = []
+    for i in range(n - 1):
+        image = keys(np.r_[:i, i + 1, i, i + 2 : n])[order]
+        images.append(np.searchsorted(ranked, image))
+        assert (ranked[np.minimum(images[-1], m - 1)] == image).all(), "the set is not closed under relabelling"
+    least, step = None, np.arange(m)
+    while not np.array_equal(least, step):
+        least = step
+        step = np.minimum.reduce([least[least], *(least[at] for at in images)])
+    return order[least == np.arange(m)]
 
 
 def min_independence_prob(
@@ -206,11 +222,6 @@ def min_independence_prob(
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     _check_scope(n_max, t, budget)
-    if dedup_iso and n_max > ISOMORPHISM_KEY_LIMIT:
-        raise BudgetError(
-            f"isomorphism keys are limited to n <= {ISOMORPHISM_KEY_LIMIT}; "
-            f"n={n_max} would need all {math.factorial(n_max)} relabelings"
-        )
     least: dict[int, list] = {}  # n -> [least tuple count, blocks attaining it]
     scanned = 0
     for n, parents, picks, W in _grow(n_max, t, s):
@@ -223,27 +234,17 @@ def min_independence_prob(
             entry[1].append((parents, picks[W == low]))
     probs = {n: Fraction(int(low), n**s) for n, (low, _) in least.items()}
     best = min(probs.values(), default=None)
-    witnesses = [
-        g
-        for n, (_, blocks) in least.items()
-        if probs[n] == best
-        for parents, picks in blocks
-        for g in _graphs(parents, picks)
-    ]
+    witnesses = [np.concatenate([_paths(*b) for b in blocks]) for n, (_, blocks) in least.items() if probs[n] == best]
     if dedup_iso:
-        # each n's witnesses are closed under relabelling, so a class's least member in
-        # pair-slot order is there, and it is the one whose own pair bits are its canonical form
-        witnesses = [
-            g
-            for g in witnesses
-            if _canonical_form(g) == np.packbits(dense_adjacency(g)[~np.tri(g.n, dtype=bool)]).tobytes()
-        ]
+        # each n's witnesses are closed under relabelling: a labelled graph's relabellings
+        # are K_t-free and have its tuple count too
+        witnesses = [paths[_canonical_form(paths)] for paths in witnesses]
     return SearchResult(
         s=s,
         t=t,
         n_max=n_max,
         min_prob=best,
-        witnesses=tuple(sorted(to_graph6(g) for g in witnesses)),
+        witnesses=tuple(sorted(to_graph6(g) for paths in witnesses for g in _graphs(paths))),
         graphs_scanned=scanned,
     )
 
@@ -266,7 +267,7 @@ def turan_check(n_max: int, t: int, *, budget: int = ENUMERATION_BUDGET) -> Tura
     failures = []
     checked = 0
     for n, parents, picks, _ in _grow(n_max, t):
-        for g in _graphs(parents, picks):
+        for g in _graphs(_paths(parents, picks)):
             checked += 1
             lhs = 2 * g.edge_count * (t - 1)
             rhs = (t - 2) * n * n

@@ -39,6 +39,16 @@ def oracle_independence_prob(g: Graph, s: int) -> Fraction:
     return Fraction(good, n**s)
 
 
+def oracle_stirling2_rows(s_max: int) -> list[list[int]]:
+    """Rows 0..s_max of the Stirling numbers of the second kind, row s
+    holding S(s,0..s), by the recurrence S(s,k) = k S(s-1,k) + S(s-1,k-1)."""
+    rows = [[1]]
+    for s in range(1, s_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [k * prev[k] + prev[k - 1] for k in range(1, s + 1)])
+    return rows
+
+
 def oracle_mc_hits(g: Graph, s: int, trials: int, seed: int) -> int:
     """Monte Carlo trials holding an adjacent pair, by testing all s(s-1)/2
     pairs of every trial against a dense matrix, in one unchunked draw."""

@@ -357,6 +357,7 @@ def test_bad_inputs_exit_cleanly(capsys, tmp_path, argv, expected):
             "format error: --s-equals-t takes no --s or --t: it reports the rate at s = t = 1\n",
         ),
         (["optimize-p", "--s", "3"], "format error: provide both --s and --t, or --s-equals-t\n"),
+        (["graph", "sample", "--n", "100000", "--p", "0", "--seed", "1"], "error: n = 100000 exceeds the vertex budget 16384\n"),
     ],
 )
 def test_bad_values_name_the_argument(capsys, argv, message):

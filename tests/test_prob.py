@@ -11,7 +11,7 @@ from halfmult.graphs import Graph, complete, cycle, edgeless, from_edges, sample
 from halfmult.prob import exact_independence_prob, mc_independence_prob, stirling2
 from halfmult.rng import make_rng
 
-from conftest import oracle_independence_prob, oracle_mc_hits
+from conftest import oracle_independence_prob, oracle_mc_hits, oracle_stirling2_rows
 
 
 def test_stirling_examples():
@@ -31,6 +31,11 @@ def test_stirling_row_sums_are_bell_numbers():
     bell = [1, 1, 2, 5, 15, 52, 203, 877]
     for s, b in enumerate(bell):
         assert sum(stirling2(s, k) for k in range(s + 1)) == b
+
+
+def test_stirling_matches_the_recurrence():
+    for s, row in enumerate(oracle_stirling2_rows(60)):
+        assert [stirling2(s, k) for k in range(s + 3)] == row + [0, 0], s
 
 
 def test_exact_prob_paper_values():

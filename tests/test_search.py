@@ -21,7 +21,7 @@ from halfmult.search import (
     _canonical_form,
     _graphs,
     _grow,
-    _relabeled_pairs,
+    _paths,
     enumerate_ktfree,
     known_exact_value,
     min_independence_prob,
@@ -122,12 +122,46 @@ def _same_classes(*labelings):
     return all(len(set(labels)) == len(pairs) for labels in labelings)
 
 
+def _pair_string(g):
+    return tuple(int(g.has_edge(u, v)) for u, v in itertools.combinations(range(g.n), 2))
+
+
+def _kept_matches_classes(graphs, kept):
+    """Whether kept, positions into graphs, holds one graph per isomorphism
+    class of graphs, each its class's least pair string."""
+    least = {}
+    for g in graphs:
+        key = oracle_isomorphism_key(g)
+        least[key] = min(least.get(key, _pair_string(g)), _pair_string(g))
+    return sorted(_pair_string(graphs[i]) for i in kept) == sorted(least.values())
+
+
 def test_canonical_form_classes_match_oracle():
-    graphs = {g.adj: g for t in range(2, 6) for n in range(6) for g in oracle_ktfree_graphs(n, t)}.values()
-    iso = [oracle_isomorphism_key(g) for g in graphs]
-    assert _same_classes([(g.n, _canonical_form(g)) for g in graphs], iso)
-    # the graphs on at most 5 vertices without a K_5: 1, 1, 2, 4, 11 and 34 - 1 classes (OEIS A000088)
-    assert len(set(iso)) == 52
+    classes = {}
+    for t in (2, 3, 4, 5, None):
+        for n in range(1, 6):
+            paths = np.concatenate([_paths(parents, picks) for depth, parents, picks, _ in _grow(n, t) if depth == n])
+            kept = _canonical_form(paths)
+            assert _kept_matches_classes(_graphs(paths), kept), (n, t)
+            classes[t] = classes.get(t, 0) + len(kept)
+    # the graphs on 1..5 vertices: 1, 2, 4, 11 and 34 classes (OEIS A000088), one of them K_5
+    assert (classes[None], classes[5]) == (52, 51)
+
+
+def test_canonical_form_refuses_a_set_not_closed_under_relabelling():
+    # the edge 01 on three vertices, without its relabellings 02 and 12
+    with pytest.raises(AssertionError):
+        _canonical_form(np.array([[0, 1, 0]]))
+
+
+def _orbit(g):
+    """The paths of every relabelling of g, each once."""
+    n = g.n
+    dense = np.array([[int(g.has_edge(u, v)) for v in range(n)] for u in range(n)])
+    perms = np.array(list(itertools.permutations(range(n))))
+    relabeled = dense[perms[:, :, None], perms[:, None, :]]
+    paths = (relabeled * (1 << np.arange(n))).sum(axis=2) & ((1 << np.arange(n)) - 1)
+    return np.unique(paths, axis=0)
 
 
 # each oracle takes about half a second a graph at n = 8, so n = 8 runs only one
@@ -144,30 +178,25 @@ def test_canonical_form_under_relabeling_and_edge_changes(n, seed, oracles):
     g = sample_er_graph(n, 0.5, seed)
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if g.has_edge(u, v)]
     holes = [(u, v) for u in range(n) for v in range(u + 1, n) if not g.has_edge(u, v)]
-    p = rng.permutation(n).tolist()
-    relabeled = from_edges(n, [(p[u], p[v]) for u, v in edges])
-    assert relabeled != g
-    assert _canonical_form(relabeled) == _canonical_form(g)
     flipped = from_edges(n, edges[1:])  # one edge fewer: always another class
-    assert _canonical_form(flipped) != _canonical_form(g)
     # moving one edge keeps the edge count, so only the structure tells the classes apart
     moved = [
         from_edges(n, [e for e in edges if e != edges[i]] + [holes[j]])
         for i, j in zip(rng.choice(len(edges), 2, replace=False), rng.choice(len(holes), 2, replace=False))
     ]
-    graphs = [g, *moved]
-    labelings = [[oracle(h) for h in graphs] for oracle in oracles]
-    assert len(set(labelings[0])) > 1  # some move leaves the class of g
-    assert _same_classes([_canonical_form(h) for h in graphs], *labelings)
-
-
-@pytest.mark.parametrize("n", range(1, 8))
-def test_relabeled_pairs_match_the_permutation_list(n):
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    graphs = [g, flipped, *moved]
+    orbits = [_orbit(h) for h in graphs]
+    assert len(orbits[0]) > 1  # g has relabellings other than itself
+    paths = np.unique(np.concatenate(orbits), axis=0)
+    kept = _graphs(paths[_canonical_form(paths)])
+    # each graph's class is named by its least relabelling, which must be kept
     u, v = np.triu_indices(n, 1)
-    table = _relabeled_pairs(n)
-    assert table.dtype == np.intp
-    assert np.array_equal(table, perms[:, u] * n + perms[:, v])
+    least = [min(map(tuple, (orbit[:, v] >> u & 1).tolist())) for orbit in orbits]
+    assert sorted(map(_pair_string, kept)) == sorted(set(least))
+    labelings = [[oracle(h) for h in graphs] for oracle in oracles]
+    assert len(set(labelings[0][:1] + labelings[0][2:])) > 1  # some move leaves the class of g
+    assert least[1] != least[0]
+    assert _same_classes(least, *labelings)
 
 
 def test_dedup_iso_witnesses_pinned():
@@ -258,7 +287,7 @@ def test_grow_counts_the_tuples_of_every_graph(monkeypatch, cap, t, n_max, s_max
     monkeypatch.setattr(search, "_BLOCK_ENTRIES", cap)
     for s in range(s_max + 1):
         for _, parents, picks, W in _grow(n_max, t, s):
-            assert W.tolist() == [_oracle_tuple_count(g, s) for g in _graphs(parents, picks)], (s, t, n_max)
+            assert W.tolist() == [_oracle_tuple_count(g, s) for g in _graphs(_paths(parents, picks))], (s, t, n_max)
 
 
 @pytest.mark.parametrize(
@@ -293,10 +322,29 @@ def test_search_memory_is_bounded_by_the_block_cap(s, n_max):
     assert peak < 1_600_000
 
 
-def test_dedup_iso_refuses_relabeling_tables_past_ten_vertices():
-    # t = 2 leaves one edgeless graph per n, so only the n! table could be large
-    with pytest.raises(BudgetError, match="39916800 relabelings"):
-        min_independence_prob(1, 2, 11, dedup_iso=True, budget=11)
+def test_search_at_large_s_keeps_no_stirling_table():
+    # a table of S(s', k) for every s' <= 2000 would hold 1.7 GB; the three weights take a few kB
+    tracemalloc.start()
+    try:
+        r = min_independence_prob(2000, 3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (r.min_prob, r.witnesses) == (Fraction(1, 2**1999), ("A_",))
+    assert peak < 1_000_000
+
+
+def test_dedup_iso_counts_the_triangle_free_classes():
+    # at s = 1 every graph is a witness, so dedup keeps one graph per class on each n (OEIS A006785)
+    r = min_independence_prob(1, 3, 7, dedup_iso=True)
+    counts = [sum(from_graph6(g).n == n for g in r.witnesses) for n in range(1, 8)]
+    assert counts == [1, 2, 3, 7, 14, 38, 107]
+
+
+def test_dedup_iso_runs_past_ten_vertices():
+    # t = 2 leaves one edgeless graph per n, each its own class
+    r = min_independence_prob(1, 2, 11, dedup_iso=True, budget=11)
+    assert len(r.witnesses) == 11
 
 
 @pytest.mark.parametrize("n_max", [0, -1])
