@@ -55,14 +55,6 @@ from .graphs import (
     to_graph6,
 )
 from .prob import McEstimate, exact_independence_prob, mc_independence_prob, stirling2
-from .search import (
-    SearchResult,
-    TuranReport,
-    enumerate_ktfree,
-    min_independence_prob,
-    pentagon_coloring,
-    turan_check,
-    verify_r33,
-)
+from .search import SearchResult, enumerate_ktfree, min_independence_prob
 
 __version__ = "0.1.0"

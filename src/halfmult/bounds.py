@@ -248,8 +248,8 @@ class KnownRamseyTable:
     """Exact Ramsey numbers with per-entry provenance.
 
     The axioms R(1,t) = 1 and R(2,t) = t hold for every t and need no
-    entries; R(3,3) = 6 ships bundled because verify_r33 re-proves it by
-    exhaustive scan. Anything else comes from a user TSV.
+    entries; R(3,3) = 6 ships bundled because tier-1 re-proves it, by a pentagon
+    certificate and a 6-vertex scan. Anything else comes from a user TSV.
     """
 
     entries: dict[tuple[int, int], int] = field(default_factory=dict)
@@ -366,7 +366,7 @@ def standard_report(
 
     The multicolor bound needs an upper bound on the t-draw independence
     probability; p_value supplies one (e.g. from an exact search), else the
-    Ramsey upper half at a=2 is used when s=t and R(2,t) applies.
+    Ramsey upper half at a=2 bounds P(t,t) by R(2,t) = t, for t > 2 and any s.
     """
     reports = [
         BoundReport(

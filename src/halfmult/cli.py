@@ -45,9 +45,22 @@ from .search import known_exact_value, min_independence_prob
 _FMT = "{:.10g}"
 
 
+def _digits(n: int) -> str:
+    """str(n), lifting the interpreter's int-to-string digit limit (a guard for input) just for an n past it."""
+    try:
+        return str(n)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(n)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def _fmt(x) -> str:
     if isinstance(x, Fraction):
-        return f"{x.numerator}/{x.denominator} ({_FMT.format(float(x))})"
+        return f"{_digits(x.numerator)}/{_digits(x.denominator)} ({_FMT.format(float(x))})"
     if isinstance(x, float):
         return _FMT.format(x)
     return str(x)
@@ -55,7 +68,7 @@ def _fmt(x) -> str:
 
 def _jsonable(x):
     if isinstance(x, Fraction):
-        return {"num": str(x.numerator), "den": str(x.denominator), "decimal": float(x)}
+        return {"num": _digits(x.numerator), "den": _digits(x.denominator), "decimal": float(x)}
     if isinstance(x, tuple):
         return list(x)
     if isinstance(x, dict):

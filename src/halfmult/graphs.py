@@ -17,6 +17,7 @@ from .rng import make_rng
 
 EXACT_COUNT_BUDGET = 64
 GRAPH_VERTEX_BUDGET = 1 << 14
+_DRAW_CHUNK = 1 << 20  # uniform draws sample_er_graph holds: 8 MB, not 1 GB at the budget
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,10 @@ def sample_er_graph(n: int, p: float, seed: int) -> Graph:
         raise BudgetError(f"n = {n} exceeds the vertex budget {GRAPH_VERTEX_BUDGET}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
-    return from_pairs(n, make_rng(seed).random(n * (n - 1) // 2) < p)
+    mask, rng = np.empty(n * (n - 1) // 2, bool), make_rng(seed)
+    for chunk in np.split(mask, range(_DRAW_CHUNK, len(mask), _DRAW_CHUNK)):  # views of mask, in pair order
+        np.less(rng.random(len(chunk)), p, out=chunk)
+    return from_pairs(n, mask)
 
 
 def packed_adjacency(g: Graph) -> np.ndarray:

@@ -1,6 +1,5 @@
-"""Exhaustive small-instance search: clique-free enumeration, restricted
-minima of the independence probability, Turan's edge bound, and the
-exhaustive R(3,3) check.
+"""Exhaustive small-instance search: clique-free enumeration and restricted
+minima of the independence probability.
 
 Everything here walks one tree of labeled graphs, grown one vertex at a
 time: a K_t-free graph G on the vertices 0..n-1 has one child for each
@@ -17,8 +16,8 @@ any parents, capped by the table entries a step creates, so its memory
 stays at a few MB and its Python steps are few.
 
 Reported minima are restricted to the scanned vertex range; they equal the
-true infimum only where a matching lower bound is known (s=2 via Turan,
-and (3,3)).
+true infimum only where a matching lower bound is known: s=2, where
+P(2, G) = 1 - 2m/n^2 makes Turan's theorem P(2, G) >= 1/(t-1), and (3,3).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BudgetError
-from .graphs import Graph, complement, from_edges, has_clique, to_graph6
+from .graphs import Graph, to_graph6
 from .prob import stirling2
 
 ENUMERATION_BUDGET = 8
@@ -249,55 +248,6 @@ def min_independence_prob(
     )
 
 
-@dataclass(frozen=True)
-class TuranReport:
-    t: int
-    n_max: int
-    all_pass: bool
-    graphs_checked: int
-    extremal: tuple[str, ...]  # graph6 of equality attainers, sorted
-    failures: tuple[str, ...]  # graph6 of violators (empty when the theorem holds)
-
-
-def turan_check(n_max: int, t: int, *, budget: int = ENUMERATION_BUDGET) -> TuranReport:
-    """Verify 2m(t-1) <= (t-2)n^2 for every K_t-free graph up to n_max
-    vertices, and report the graphs attaining equality."""
-    _check_scope(n_max, t, budget)
-    extremal = []
-    failures = []
-    checked = 0
-    for n, parents, picks, _ in _grow(n_max, t):
-        for g in _graphs(_paths(parents, picks)):
-            checked += 1
-            lhs = 2 * g.edge_count * (t - 1)
-            rhs = (t - 2) * n * n
-            if lhs > rhs:
-                failures.append(to_graph6(g))
-            elif lhs == rhs and g.edge_count > 0:
-                extremal.append(to_graph6(g))
-    return TuranReport(
-        t=t,
-        n_max=n_max,
-        all_pass=not failures,
-        graphs_checked=checked,
-        extremal=tuple(sorted(extremal)),
-        failures=tuple(sorted(failures)),
-    )
-
-
-def pentagon_coloring(n: int = 5) -> list[list[tuple[int, int]]]:
-    """The classic R(3,3) witness restricted to n <= 5 vertices: color 1 is
-    the 5-cycle, color 2 its chords."""
-    if not 1 <= n <= 5:
-        raise ValueError("the pentagon coloring has at most 5 vertices")
-    cyc = {frozenset(((i, (i + 1) % 5))) for i in range(5)}
-    color1, color2 = [], []
-    for u in range(n):
-        for v in range(u + 1, n):
-            (color1 if frozenset((u, v)) in cyc else color2).append((u, v))
-    return [color1, color2]
-
-
 def known_exact_value(s: int, t: int) -> Fraction | None:
     """The proven value of the infimum, where one is known.
 
@@ -312,21 +262,3 @@ def known_exact_value(s: int, t: int) -> Fraction | None:
     if (s, t) == (3, 3):
         return Fraction(1, 4)
     return None
-
-
-def verify_r33(n: int) -> bool:
-    """Computational evidence for R(3,3) = 6 at a given n.
-
-    n <= 5: exhibits the pentagon 2-coloring (restricted to n vertices) and
-    checks both classes are triangle-free. n = 6: scans every triangle-free
-    graph on 6 vertices and confirms its complement has a triangle, which
-    is the statement that each edge 2-coloring of K_6 has a monochromatic
-    triangle. Returns True when the expected behavior is confirmed.
-    """
-    if n > 6:
-        raise ValueError("verify_r33 covers n <= 6 only")
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n <= 5:
-        return not any(has_clique(from_edges(n, edges), 3) for edges in pentagon_coloring(n))
-    return all(has_clique(complement(g), 3) for g in enumerate_ktfree(6, 3))

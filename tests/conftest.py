@@ -8,35 +8,43 @@ have no caller in the library, only in the tests.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 import numpy as np
 
-from halfmult.coloring import pair_index
+from halfmult.coloring import ColoringCertificate, pair_index
 from halfmult.errors import BudgetError
 from halfmult.f2 import _swap_pairs
 from halfmult.graphs import Graph
 from halfmult.rng import make_rng
 
 
+@functools.cache
+def _tuple_vertex_sets(n: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vertex sets, as bitmasks, of the n^s ordered s-tuples of n vertices,
+    each with the number of tuples on it, by listing every tuple."""
+    covered = np.zeros(1, np.int64)
+    for _ in range(s):
+        covered = (covered[:, None] | 1 << np.arange(n, dtype=np.int64)).ravel()
+    return np.unique(covered, return_counts=True)
+
+
 def oracle_independence_prob(g: Graph, s: int) -> Fraction:
-    """Exact probability by scanning every ordered s-tuple of vertices."""
+    """Exact probability by scanning every ordered s-tuple of vertices.
+
+    A tuple is independent when no pair of its vertices is an edge, so the
+    tuples are grouped once per (n, s) by their vertex sets, at most 2^n of
+    them, and a graph sums the counts of the sets that hold none of its edges.
+    """
     n = g.n
     if n**s > 2_000_000:
         raise ValueError("oracle too slow for this size")
-    grids = np.meshgrid(*([np.arange(n)] * s), indexing="ij")
-    tuples = np.stack([a.reshape(-1) for a in grids], axis=1)
-    dense = np.zeros((n, n), dtype=bool)
-    for v in range(n):
-        for u in range(n):
-            dense[v, u] = bool((g.adj[v] >> u) & 1)
-    bad = np.zeros(len(tuples), dtype=bool)
-    for i in range(s):
-        for j in range(i + 1, s):
-            bad |= dense[tuples[:, i], tuples[:, j]]
-    good = int((~bad).sum())
-    return Fraction(good, n**s)
+    sets, counts = _tuple_vertex_sets(n, s)
+    rows = np.array(g.adj, np.int64)
+    met = (sets[:, None] >> np.arange(n) & 1).astype(bool) & (sets[:, None] & rows != 0)
+    return Fraction(int(counts[~met.any(axis=1)].sum()), n**s)
 
 
 def oracle_stirling2_rows(s_max: int) -> list[list[int]]:
@@ -386,6 +394,13 @@ def enumerate_isotropic_subspaces(t: int, k: int, *, budget: int = ENUMERATION_T
 
     rec([], [], 0, 1)
     return results
+
+
+def pentagon_certificate(n: int) -> ColoringCertificate:
+    """The 2-colouring of K_n, n <= 5, that the pentagon gives: colour 1 where
+    (v - u) mod 5 is 1 or 4, the pentagon's sides, and colour 2 on its chords."""
+    colors = tuple(1 if (v - u) % 5 in (1, 4) else 2 for u in range(n) for v in range(u + 1, n))
+    return ColoringCertificate(n, 2, 3, colors, "none", 0, 0)
 
 
 def color_of(cert, u: int, v: int) -> int:

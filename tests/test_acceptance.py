@@ -28,11 +28,11 @@ from halfmult.coloring import (
     verify_certificate,
 )
 from halfmult.f2 import build_cf_graph, count_isotropic_subspaces
-from halfmult.graphs import complete, cycle, has_clique, sample_er_graph, to_graph6
+from halfmult.graphs import complement, complete, cycle, has_clique, sample_er_graph, to_graph6
 from halfmult.prob import exact_independence_prob, mc_independence_prob
-from halfmult.search import min_independence_prob, pentagon_coloring, verify_r33
+from halfmult.search import enumerate_ktfree, min_independence_prob
 
-from conftest import color_of, enumerate_isotropic_subspaces, oracle_independence_prob
+from conftest import color_of, enumerate_isotropic_subspaces, oracle_independence_prob, pentagon_certificate
 
 
 def _report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -161,7 +161,9 @@ def test_criterion_06_neighborhood_suite():
 
 def test_criterion_07_sandwich_consistency():
     table = KnownRamseyTable.bundled()
-    ok_r33 = verify_r33(5) and verify_r33(6)
+    # R(3,3) > 5 by the pentagon certificate, R(3,3) <= 6 by every triangle-free graph on 6 vertices
+    ok_r33 = verify_certificate(pentagon_certificate(5)).valid
+    ok_r33 &= all(has_clique(complement(g), 3) for g in enumerate_ktfree(6, 3))
     searched = {
         (2, 3): min_independence_prob(2, 3, 6).min_prob,
         (3, 3): min_independence_prob(3, 3, 6).min_prob,
@@ -229,13 +231,7 @@ def test_criterion_10_construction_round_trip():
     ok_build = isinstance(cert, ColoringCertificate) and verify_certificate(cert).valid
     ok_build &= certificate_from_text(cert.to_text()) == cert
 
-    classes = pentagon_coloring(5)
-    colors = [0] * 10
-    for c, edges in enumerate(classes, start=1):
-        for u, v in edges:
-            colors[pair_index(u, v, 5)] = c
-    pentagon = ColoringCertificate(5, 2, 3, tuple(colors), "none", 0, 0)
-    ok_pentagon = verify_certificate(pentagon).valid
+    ok_pentagon = verify_certificate(pentagon_certificate(5)).valid
 
     rng = random.Random(424242)
     rejected = 0

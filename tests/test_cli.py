@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import halfmult
 from halfmult.cli import build_parser, main
 from halfmult.f2 import build_cf_graph, count_isotropic_subspaces
 from halfmult.graphs import from_graph6
+from halfmult.search import min_independence_prob
 
 from conftest import REPEATED_FIELDS
 
@@ -377,6 +379,29 @@ def test_recursion_at_large_s_exits_0(capsys, command):
     code, out, err = run(capsys, command, "--s", "500", "--t", "3")
     assert code == 0
     assert "Traceback" not in out + err
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string digit limit")
+def test_exact_values_past_the_digit_limit_print_whole(capsys, tmp_path):
+    # the interpreter refuses to turn an int of over 4300 digits into a string; a report
+    # lifts that limit for itself alone, so a certificate's colours still meet it
+    limit = sys.get_int_max_str_digits()
+    code, data = payload(capsys, "search", "--s", "100000", "--t", "3", "--max-n", "3")
+    assert (code, sys.get_int_max_str_digits()) == (0, limit)
+    value = data["min_prob"]
+    assert len(value["den"]) == 30103
+    sys.set_int_max_str_digits(0)
+    try:
+        assert Fraction(int(value["num"]), int(value["den"])) == min_independence_prob(100000, 3, 3).min_prob
+    finally:
+        sys.set_int_max_str_digits(limit)
+    wide = "1" + "0" * 4999  # valid as a colour and as ell, were its digits read
+    cert = tmp_path / "cert.txt"
+    header = "halfmult-certificate v1\nn: 3\nell: {}\nt: 3\nbase_graph: none\nseed: 0\nattempts_used: 0\n"
+    cert.write_text(header.format(wide) + f"colors: {wide},1,2\n")
+    code, out, err = run(capsys, "verify", str(cert))
+    assert (code, out) == (2, "")
+    assert "format error" in err and sys.get_int_max_str_digits() == limit
 
 
 def test_non_ascii_certificate_exits_2(capsys, tmp_path):

@@ -18,21 +18,9 @@ from halfmult.coloring import (
 )
 from halfmult.errors import CertificateFormatError
 from halfmult.f2 import build_cf_graph
-from halfmult.graphs import complete, cycle, has_clique
-from halfmult.search import pentagon_coloring
+from halfmult.graphs import complement, complete, cycle, has_clique
 
-from conftest import REPEATED_FIELDS, color_of, oracle_color_class
-
-
-def _pentagon_certificate() -> ColoringCertificate:
-    classes = pentagon_coloring(5)
-    colors = [0] * 10
-    for c, edges in enumerate(classes, start=1):
-        for u, v in edges:
-            colors[pair_index(u, v, 5)] = c
-    return ColoringCertificate(
-        n=5, ell=2, t=3, colors=tuple(colors), base_graph="none", seed=0, attempts_used=0
-    )
+from conftest import REPEATED_FIELDS, color_of, oracle_color_class, pentagon_certificate
 
 
 def test_pair_index_covers_triangle():
@@ -161,8 +149,11 @@ def test_color_class_matches_pair_walk(n):
 
 
 def test_pentagon_certificate_valid_for_t3():
-    cert = _pentagon_certificate()
-    assert verify_certificate(cert).valid
+    # R(3,3) > 5: colour 1 is the pentagon, colour 2 its chords, neither holds a triangle
+    cert = pentagon_certificate(5)
+    assert (cert.color_class(1), cert.color_class(2)) == (cycle(5), complement(cycle(5)))
+    for n in range(3, 6):
+        assert verify_certificate(pentagon_certificate(n)).valid, n
 
 
 def test_verifier_rejects_monochromatic_k6():
@@ -209,7 +200,7 @@ def test_verifier_witness_is_genuine():
 
 
 def test_certificate_format_errors():
-    cert = _pentagon_certificate()
+    cert = pentagon_certificate(5)
     text = cert.to_text()
     with pytest.raises(CertificateFormatError):
         certificate_from_text(text.replace("halfmult-certificate v1", "garbage"))

@@ -27,6 +27,7 @@ from halfmult.graphs import (
     sample_er_graph,
     to_graph6,
 )
+from halfmult.rng import make_rng
 
 from conftest import (
     oracle_by_degree,
@@ -112,6 +113,13 @@ def test_sample_er_graph_pinned(n, p, seed):
     if n > 9:
         g6 = hashlib.sha256(g6.encode()).hexdigest()
     assert g6 == _ER_GRAPH6[(n, p, seed)]
+
+
+def test_sample_er_graph_draws_in_chunks_of_one_stream(monkeypatch):
+    monkeypatch.setattr(graphs, "_DRAW_CHUNK", 7)
+    for n, p, seed in ((1, 0.5, 0), (5, 0.5, 1), (6, 0.3, 2), (50, 0.3, 1), (200, 0.5, 7), (201, 0.1, 3)):
+        one_draw = make_rng(seed).random(n * (n - 1) // 2) < p
+        assert sample_er_graph(n, p, seed) == from_pairs(n, one_draw), (n, p, seed)
 
 
 def test_sample_er_graph_edge_count_statistics():

@@ -25,9 +25,6 @@ from halfmult.search import (
     enumerate_ktfree,
     known_exact_value,
     min_independence_prob,
-    pentagon_coloring,
-    turan_check,
-    verify_r33,
 )
 
 from conftest import (
@@ -276,8 +273,9 @@ def _oracle_tuple_count(g, s):
     return oracle_independence_prob(g, s) * g.n**s if s else 0
 
 
-# past s = 4 on six vertices the tuple oracle takes 0.9 ms (s = 5) to 9.5 ms (s = 6) for each of 5789 graphs
-_EVERY_W_CASES = [*((t, n_max, 6) for t in (2, 3, 4, None) for n_max in range(1, 6)), (3, 6, 4)]
+# the tuple oracle groups the tuples by vertex set once per (n, s), so scoring a graph is a
+# few numpy steps over at most 2^n sets, and s = 6 fits for the 5789 graphs on six vertices
+_EVERY_W_CASES = [*((t, n_max, 6) for t in (2, 3, 4, None) for n_max in range(1, 6)), (3, 6, 6)]
 
 
 @pytest.mark.parametrize("cap", [search._BLOCK_ENTRIES, 1], ids=["default-cap", "one-entry"])
@@ -286,8 +284,12 @@ def test_grow_counts_the_tuples_of_every_graph(monkeypatch, cap, t, n_max, s_max
     # every graph's W, not only the minima, so a wrong table shift on any graph shows
     monkeypatch.setattr(search, "_BLOCK_ENTRIES", cap)
     for s in range(s_max + 1):
-        for _, parents, picks, W in _grow(n_max, t, s):
-            assert W.tolist() == [_oracle_tuple_count(g, s) for g in _graphs(_paths(parents, picks))], (s, t, n_max)
+        blocks = {}  # n -> [(paths, W)]: one _graphs call an n, as a block can hold one graph
+        for n, parents, picks, W in _grow(n_max, t, s):
+            blocks.setdefault(n, []).append((_paths(parents, picks), W))
+        for pairs in blocks.values():
+            paths, W = (np.concatenate(part) for part in zip(*pairs))
+            assert W.tolist() == [_oracle_tuple_count(g, s) for g in _graphs(paths)], (s, t, n_max)
 
 
 @pytest.mark.parametrize(
@@ -391,36 +393,27 @@ def test_known_exact_value():
     assert min_independence_prob(2, 4, 5).min_prob == known_exact_value(2, 4)
 
 
-def test_turan_check():
-    r = turan_check(6, 3)
-    assert r.all_pass
-    assert not r.failures
+def test_turan_bound_is_the_two_draw_minimum():
+    # P(2, G) = 1 - 2m/n^2, so Turan's bound 2m(t-1) <= (t-2)n^2 on every graph scanned is
+    # min_prob >= 1/(t-1), with equality once K_{t-1} fits, and the witnesses are its attainers
+    for t in range(2, 6):
+        for n_max in range(1, 7):
+            r = min_independence_prob(2, t, n_max)
+            assert r.min_prob >= known_exact_value(2, t), (t, n_max)
+            assert (r.min_prob == known_exact_value(2, t)) == (n_max >= t - 1), (t, n_max)
     # balanced complete bipartite attainers: K_{1,1}, K_{2,2}, K_{3,3}
-    assert to_graph6(complete(2)) in r.extremal
-    k33 = from_graph6([g for g in r.extremal if from_graph6(g).n == 6][0])
+    r3 = min_independence_prob(2, 3, 6)
+    assert to_graph6(complete(2)) in r3.witnesses
+    k33 = from_graph6([g for g in r3.witnesses if from_graph6(g).n == 6][0])
     assert k33.edge_count == 9
-    r4 = turan_check(6, 4)
-    assert r4.all_pass
-    sixes = [from_graph6(g) for g in r4.extremal if from_graph6(g).n == 6]
-    assert all(g.edge_count == 12 for g in sixes)  # K_{2,2,2}
-    r2 = turan_check(5, 2)
-    assert r2.all_pass
-    assert r2.graphs_checked == 5  # only edgeless graphs exist
+    sixes = [from_graph6(g) for g in min_independence_prob(2, 4, 6).witnesses if from_graph6(g).n == 6]
+    assert sixes and all(g.edge_count == 12 for g in sixes)  # K_{2,2,2}
+    assert min_independence_prob(2, 2, 5).graphs_scanned == 5  # only edgeless graphs exist
 
 
-def test_verify_r33():
-    assert verify_r33(3)
-    assert verify_r33(4)
-    assert verify_r33(5)
-    assert verify_r33(6)
+def test_every_two_colouring_of_k6_has_a_monochromatic_triangle():
+    # R(3,3) <= 6: each triangle-free graph on 6 vertices has a triangle in its complement;
+    # the pentagon certificate of test_coloring gives R(3,3) > 5
+    assert all(has_clique(complement(g), 3) for g in enumerate_ktfree(6, 3))
     # the n = 6 scan is not vacuous: the same test fails below 6 vertices
     assert any(not has_clique(complement(g), 3) for g in enumerate_ktfree(5, 3))
-    with pytest.raises(ValueError):
-        verify_r33(7)
-
-
-def test_pentagon_coloring_shape():
-    classes = pentagon_coloring(5)
-    assert len(classes[0]) == 5 and len(classes[1]) == 5
-    flat = classes[0] + classes[1]
-    assert len(set(map(frozenset, flat))) == 10
