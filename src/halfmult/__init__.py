@@ -28,7 +28,6 @@ from .coloring import (
     certificate_from_text,
     construct_coloring,
     pair_index,
-    sizing,
     verify_certificate,
 )
 from .errors import BudgetError, CertificateFormatError, RamseyTableError

@@ -166,7 +166,8 @@ def _cmd_graph_sample(args) -> int:
         "graph6": to_graph6(g),
     }
     if args.out:
-        write_graph6_file(args.out, [g])
+        with open(args.out, "w", encoding="ascii") as fh:
+            fh.write(payload["graph6"] + "\n")
         payload["out"] = args.out
     _emit(args, payload)
     return 0

@@ -23,12 +23,10 @@ Certificate file layout (ASCII, one field per line, then the array):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import CertificateFormatError
-from .bounds import multicolor_lower
 from .graphs import Graph, adjacent, find_clique, from_pairs, has_clique, packed_adjacency, to_graph6
 from .rng import make_rng
 
@@ -252,37 +250,3 @@ def construct_coloring(
     return ConstructionFailure(
         n=n, ell=ell, t=t, seed=seed, attempts=max_attempts, violations=tuple(violations)
     )
-
-
-def sizing(t: int, ell: int, p_value) -> int:
-    """floor(p_value^(-(ell-2)/t) * 2^((t-1)/2)).
-
-    For exact Fraction input the floor is certified by integer arithmetic:
-    N <= bound iff N^t * num^(ell-2) <= den^(ell-2) * 2^(t(t-1)/2). For
-    float input a guard of a few ulps protects boundary cases where the
-    true value is an exact integer that floating point lands just under.
-    Values beyond 2^63 raise OverflowError naming the log2 instead.
-    """
-    log2n = multicolor_lower(t, ell, p_value)
-    if log2n > 63:
-        raise OverflowError(f"N exceeds 2^63; log2(N) = {log2n:.6f}")
-    x = 2.0**log2n
-    n = int(x)
-    if isinstance(p_value, (Fraction, int)):
-        frac = Fraction(p_value)
-        num = frac.numerator
-        den = frac.denominator
-        e = ell - 2
-        rhs_const = den**e * 2 ** (t * (t - 1) // 2)
-
-        def fits(candidate: int) -> bool:
-            return candidate**t * num**e <= rhs_const
-
-        while fits(n + 1):
-            n += 1
-        while n > 0 and not fits(n):
-            n -= 1
-        return n
-    if (n + 1) - x <= x * 2.0**-48:
-        n += 1
-    return n

@@ -457,13 +457,22 @@ def _g6_size_bytes(n: int) -> bytes:
     raise ValueError("graph6 encoding supported for n <= 258047")
 
 
+def _graph6_lines(n: int, bits: np.ndarray) -> list[str]:
+    """The graph6 lines (no header, no newline) of graphs on n vertices, one
+    per row of bits, an (m, n(n-1)/2) uint8 matrix of 0/1 pair bits in graph6
+    order: (0,1), (0,2), (1,2), (0,3), ..., so bit u of row v for u < v."""
+    m, pairs = bits.shape
+    groups = np.zeros((m, (pairs + 5) // 6, 6), np.uint8)  # zero-padded to whole groups
+    groups.reshape(m, -1)[:, :pairs] = bits
+    body = (np.packbits(groups, axis=2)[:, :, 0] >> 2) + 63  # six bits a byte, first bit highest
+    size, width, text = _g6_size_bytes(n).decode("ascii"), body.shape[1], body.tobytes().decode("ascii")
+    return [size + text[i * width : (i + 1) * width] for i in range(m)]
+
+
 def to_graph6(g: Graph) -> str:
     """Encode as a graph6 line (no header, no newline)."""
     bits = np.unpackbits(packed_adjacency(g), axis=1, count=g.n, bitorder="little")[np.tri(g.n, k=-1, dtype=bool)]
-    groups = np.zeros((len(bits) + 5) // 6 * 6, dtype=np.uint8)  # zero-padded to whole groups
-    groups[: len(bits)] = bits
-    body = (np.packbits(groups.reshape(-1, 6), axis=1)[:, 0] >> 2) + 63  # six bits a byte, first bit highest
-    return (_g6_size_bytes(g.n) + body.tobytes()).decode("ascii")
+    return _graph6_lines(g.n, bits[None])[0]
 
 
 def from_graph6(text: str) -> Graph:

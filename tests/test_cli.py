@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 import halfmult
 from halfmult.cli import build_parser, main
 from halfmult.f2 import build_cf_graph, count_isotropic_subspaces
-from halfmult.graphs import from_graph6
+from halfmult.graphs import from_graph6, sample_er_graph
 from halfmult.search import min_independence_prob
 
 from conftest import REPEATED_FIELDS
@@ -95,6 +95,15 @@ def test_graph_sample_deterministic(capsys):
     assert code1 == code2 == 0
     assert d1["graph6"] == d2["graph6"]
     assert d1["seed"] == 9
+
+
+def test_graph_sample_out_holds_the_payload_line(capsys, tmp_path):
+    out = tmp_path / "g.g6"
+    code, data = payload(capsys, "graph", "sample", "--n", "70", "--p", "0.3", "--seed", "5", "--out", str(out))
+    assert code == 0
+    assert data["out"] == str(out)
+    assert out.read_bytes() == data["graph6"].encode("ascii") + b"\n"
+    assert from_graph6(data["graph6"]) == sample_er_graph(70, 0.3, 5)
 
 
 def test_graph_clique_on_cf(capsys):

@@ -1,19 +1,16 @@
 import hashlib
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from halfmult import coloring, graphs
-from halfmult.bounds import multicolor_lower
 from halfmult.coloring import (
     ColoringCertificate,
     ConstructionFailure,
     certificate_from_text,
     construct_coloring,
     pair_index,
-    sizing,
     verify_certificate,
 )
 from halfmult.errors import CertificateFormatError
@@ -317,21 +314,3 @@ def test_one_vertex_certificate_round_trips():
     parsed = certificate_from_text(text)
     assert parsed == cert
     assert verify_certificate(cert).valid and verify_certificate(parsed).valid
-
-
-def test_sizing_examples():
-    assert sizing(5, 2, 1.0) == 4
-    assert sizing(5, 2, 0.37) == 4  # ell=2 ignores p_value
-    assert sizing(4, 3, Fraction(23, 128)) == 4
-    assert sizing(4, 3, float(Fraction(23, 128))) == 4
-    with pytest.raises(OverflowError):
-        sizing(200, 2, 1.0)
-    assert multicolor_lower(200, 2, 1.0) == pytest.approx(99.5)
-
-
-def test_sizing_exact_floor_at_boundary():
-    # bound is exactly 4 when p = 2^(-(t(t-1)/2 - 2t)/ (ell-2))-ish; use a clean case:
-    # t=4, ell=3: N = (1/p)^(1/4) * 2^1.5; p = 2^-10 gives N = 2^2.5 * 2^1.5 = 16
-    assert sizing(4, 3, Fraction(1, 1024)) == 16
-    # one notch below the boundary must floor down
-    assert sizing(4, 3, Fraction(1, 1023)) == 15

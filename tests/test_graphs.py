@@ -10,6 +10,7 @@ from halfmult.errors import BudgetError
 from halfmult.f2 import build_cf_graph
 from halfmult.graphs import (
     Graph,
+    _graph6_lines,
     adjacent,
     complement,
     complete,
@@ -564,13 +565,16 @@ def test_graph6_roundtrip_small_and_large():
     assert from_graph6(to_graph6(big)) == big
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 62, 63, 64, 65, 300])  # the size field widens past 62
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 62, 63, 64, 65, 100, 258, 300])  # the size field widens past 62
 def test_graph6_matches_pair_loop_oracle(n):
     rng = np.random.default_rng(n)
-    for density in (0.0, 0.3, 1.0):
-        g = from_pairs(n, rng.random(n * (n - 1) // 2) < density)
-        text = to_graph6(g)
-        assert text == oracle_to_graph6(g)
+    graphs = [from_pairs(n, rng.random(n * (n - 1) // 2) < density) for density in (0.0, 0.3, 1.0)]
+    texts = [oracle_to_graph6(g) for g in graphs]
+    assert [to_graph6(g) for g in graphs] == texts
+    bits = np.array([[g.has_edge(u, v) for v in range(n) for u in range(v)] for g in graphs], np.uint8)
+    assert _graph6_lines(n, bits.reshape(len(graphs), -1)) == texts  # the three graphs as one block
+    assert {text[0] == "~" for text in texts} == {n > 62}
+    for text, g in zip(texts, graphs):
         assert from_graph6(text) == oracle_from_graph6(text) == g
 
 

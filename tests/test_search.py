@@ -21,6 +21,7 @@ from halfmult.search import (
     _canonical_form,
     _graphs,
     _grow,
+    _lines,
     _paths,
     enumerate_ktfree,
     known_exact_value,
@@ -290,6 +291,40 @@ def test_grow_counts_the_tuples_of_every_graph(monkeypatch, cap, t, n_max, s_max
         for pairs in blocks.values():
             paths, W = (np.concatenate(part) for part in zip(*pairs))
             assert W.tolist() == [_oracle_tuple_count(g, s) for g in _graphs(paths)], (s, t, n_max)
+
+
+# every graph _grow yields on up to 7 vertices for t = 2 and 3, and on up to 6 for t = 4 and None:
+# 202,261 graphs; t = 4 and None at n = 7 add 3.6 million more
+_LINE_CASES = [(2, 7), (3, 7), (4, 6), (None, 6)]
+
+
+@functools.cache
+def _grown(t, n_max):
+    """The paths of the graphs _grow yields, one array an n, and their graphs."""
+    blocks = {}
+    for n, parents, picks, _ in _grow(n_max, t):
+        blocks.setdefault(n, []).append(_paths(parents, picks))
+    paths = [np.concatenate(part) for part in blocks.values()]
+    return paths, [_graphs(p) for p in paths]
+
+
+@functools.cache
+def _graph6_of_grown(t, n_max):
+    return [[to_graph6(g) for g in graphs] for graphs in _grown(t, n_max)[1]]
+
+
+@pytest.mark.parametrize("rows", [search._LINE_ROWS, 1, 7], ids=["default-rows", "one-row", "seven-rows"])
+@pytest.mark.parametrize("t, n_max", _LINE_CASES)
+def test_lines_are_the_graph6_of_the_grown_graphs(monkeypatch, rows, t, n_max):
+    monkeypatch.setattr(search, "_LINE_ROWS", rows)
+    assert [_lines(p) for p in _grown(t, n_max)[0]] == _graph6_of_grown(t, n_max)
+
+
+@pytest.mark.parametrize("t, n_max", _LINE_CASES)
+def test_lines_round_trip_to_the_grown_graphs(t, n_max):
+    paths, graphs = _grown(t, n_max)
+    for p, part in zip(paths, graphs):
+        assert [from_graph6(line).adj for line in _lines(p)] == [g.adj for g in part]
 
 
 @pytest.mark.parametrize(
