@@ -191,16 +191,23 @@ def test_cf_upper_matches_random_exponent_at_half():
         assert abs(explicit_ln - random_ln) <= t * LN2
 
 
-def test_multicolor_lower():
-    for t in (3, 5, 9):
-        assert multicolor_lower(t, 2, 0.123) == (t - 1) / 2
+def test_multicolor_lower_small_cases():
     assert multicolor_lower(5, 2, 1.0) == multicolor_lower(5, 2, 0.37) == 2.0  # ell=2 ignores p_value
     assert multicolor_lower(4, 3, Fraction(23, 128)) == pytest.approx(multicolor_lower(4, 3, 23 / 128))
     assert 4 < 2 ** multicolor_lower(4, 3, Fraction(23, 128)) < 5
     assert multicolor_lower(200, 2, 1.0) == pytest.approx(99.5)
-    # t=4, ell=3: N = (1/p)^(1/4) * 2^1.5; p = 2^-10 gives N = 2^2.5 * 2^1.5 = 16, and one notch below lands below it
+
+
+def test_multicolor_lower_exact_at_boundary():
+    # t=4, ell=3: N = (1/p)^(1/4) * 2^1.5; p = 2^-10 gives N = 2^2.5 * 2^1.5 = 16
     assert multicolor_lower(4, 3, Fraction(1, 1024)) == 4.0
+    # one notch below the boundary lands below it
     assert 15 < 2 ** multicolor_lower(4, 3, Fraction(1, 1023)) < 16
+
+
+def test_multicolor_lower():
+    for t in (3, 5, 9):
+        assert multicolor_lower(t, 2, 0.123) == (t - 1) / 2
     # e^(-0.266027 * 10^4) is far below float range; pass its log2
     val = multicolor_lower(100, 3, log2_p_value=-0.266027e4 / LN2)
     assert val == pytest.approx(0.266027 * 100 / LN2 + 49.5, abs=1e-6)
