@@ -84,13 +84,19 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
-def from_pairs(n: int, mask) -> Graph:
-    """The graph whose edges are the set entries of mask, a bool vector over
-    the pairs (0,1), (0,2), ..., (n-2,n-1) in that order."""
+def pair_matrix(n: int, mask) -> np.ndarray:
+    """The dense symmetric (n, n) bool adjacency matrix whose edges are the
+    set entries of mask, a bool vector over the pairs (0,1), (0,2), ...,
+    (n-2,n-1) in that order."""
     dense = np.zeros((n, n), dtype=bool)
     dense[~np.tri(n, dtype=bool)] = mask  # a bool index fills row-major: the pair order
     dense |= dense.T
-    return Graph(n, _rows_of(dense))
+    return dense
+
+
+def from_pairs(n: int, mask) -> Graph:
+    """The graph whose edges are the set entries of mask, as pair_matrix reads it."""
+    return Graph(n, _rows_of(pair_matrix(n, mask)))
 
 
 def sample_er_graph(n: int, p: float, seed: int) -> Graph:
@@ -128,10 +134,19 @@ def adjacent(packed: np.ndarray, u, v) -> np.ndarray:
     return ((packed[u, v >> 3] >> np.asarray(v & 7, dtype=np.uint8)) & 1).astype(bool)
 
 
+# Rows per tolist in _ints: a block of bytes objects, 2 MB at the vertex budget.
+_INT_ROWS = 1 << 10
+
+
 def _ints(packed: np.ndarray) -> tuple[int, ...]:
     """The bitset rows of a uint8 array in packed_adjacency's bit layout, of any width."""
-    data, width = packed.tobytes(), packed.shape[1]  # slicing bytes: twice as fast as a tobytes per row
-    return tuple([int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(len(packed))])
+    out: list[int] = []
+    for start in range(0, len(packed), _INT_ROWS):
+        block = np.ascontiguousarray(packed[start : start + _INT_ROWS])
+        # one np.void item per row, which tolist gives as its bytes
+        rows = block.view(np.dtype((np.void, block.shape[1]))).reshape(len(block))
+        out += [int.from_bytes(row, "little") for row in rows.tolist()]
+    return tuple(out)
 
 
 def _rows_of(dense: np.ndarray) -> tuple[int, ...]:
@@ -244,15 +259,25 @@ def _by_degree(g: Graph) -> tuple[list[int], np.ndarray]:
     return order, rows
 
 
-def _search(g: Graph, floor: int, stop_at: int) -> tuple[int, ...] | None:
-    """Branch and bound over the descending-degree relabelling for a clique
-    larger than floor, ending once a clique of stop_at vertices is found: the
-    last best clique in g's labels, sorted and cut to stop_at, or None if none
-    beats floor."""
-    order, rows = _by_degree(g)
-    adj = _ints(rows)
+def _relabel(g: Graph | np.ndarray) -> tuple[list[int], tuple[int, ...]]:
+    """_by_degree's order and relabelled bitset rows, of a Graph or of a dense
+    symmetric bool matrix. The matrix is permuted in one numpy pass: a stable
+    argsort of minus the degrees gives _by_degree's tie order, so both inputs
+    give the same rows."""
+    if isinstance(g, Graph):
+        order, rows = _by_degree(g)
+        return order, _ints(rows)
+    perm = np.argsort(-g.view(np.uint8).sum(axis=1, dtype=np.int32), kind="stable")
+    rows = np.packbits(g.take(perm, axis=0).take(perm, axis=1), axis=1, bitorder="little")
+    return perm.tolist(), _ints(rows)
+
+
+def _search(order: list[int], adj: tuple[int, ...], floor: int, stop_at: int) -> tuple[int, ...] | None:
+    """Branch and bound over _relabel's rows for a clique larger than floor,
+    ending once a clique of stop_at vertices is found: the last best clique in
+    the old labels, sorted and cut to stop_at, or None if none beats floor."""
     best: list = [floor, None]
-    _expand(adj, _complements(adj), (1 << g.n) - 1, [], best, stop_at)
+    _expand(adj, _complements(adj), (1 << len(adj)) - 1, [], best, stop_at)
     return None if best[1] is None else tuple(sorted(order[i] for i in best[1]))[:stop_at]
 
 
@@ -264,11 +289,13 @@ def max_clique_size(g: Graph) -> int:
     elimination stops at the max degree.
     """
     bound = f2_rank(g.adj, stop=max(map(int.bit_count, g.adj), default=0)) + 1
-    return len(_search(g, 0, bound) or ())
+    return len(_search(*_relabel(g), 0, bound) or ())
 
 
-def find_clique(g: Graph, t: int) -> tuple[int, ...] | None:
-    """A clique of size exactly t if one exists, else None.
+def find_clique(g: Graph | np.ndarray, t: int) -> tuple[int, ...] | None:
+    """A clique of size exactly t if one exists, else None. g is a Graph or a
+    dense symmetric (n, n) bool adjacency matrix, as pair_matrix builds for
+    a colour class; both give the same answer.
 
     A graph whose adjacency has F2 rank below t - 1 is answered None by one
     elimination; any other is searched. The returned witness comes from the
@@ -277,17 +304,27 @@ def find_clique(g: Graph, t: int) -> tuple[int, ...] | None:
     if t < 1:
         raise ValueError("clique size must be at least 1")
     if t == 1:
-        return (0,) if g.n >= 1 else None
+        return (0,) if (g.n if isinstance(g, Graph) else len(g)) >= 1 else None
     # A t-clique restricts the adjacency to J - I, whose F2 rank is at least
     # t - 1; no principal submatrix outranks the whole, so rank < t - 1 is a proof.
-    if f2_rank(g.adj, stop=t - 1) < t - 1:
-        return None
-    witness = _search(g, t - 1, t)
+    # Relabelling does not change the rank: a Graph is ranked on its own rows,
+    # so a proof costs no relabel, and a matrix on its relabelled ones.
+    if isinstance(g, Graph):
+        if f2_rank(g.adj, stop=t - 1) < t - 1:
+            return None
+        order, adj = _relabel(g)
+        edge = g.has_edge
+    else:
+        order, adj = _relabel(g)
+        if f2_rank(adj, stop=t - 1) < t - 1:
+            return None
+        edge = g.item
+    witness = _search(order, adj, t - 1, t)
     if witness is None:
         return None
     for i in range(t):
         for j in range(i + 1, t):
-            if not g.has_edge(witness[i], witness[j]):
+            if not edge(witness[i], witness[j]):
                 raise AssertionError("clique search produced an invalid witness")
     return witness
 

@@ -315,6 +315,7 @@ def test_cf_spec_with_odd_t_is_domain_error(capsys):
         (["search", "--s", "2", "--t", "3", "--max-n", "-1"], 1),
         (["cf", "--t", "100000"], 1),
         (["exact", "--in", "cf:5000", "--s", "3"], 1),
+        (["color", "--graph", "cf:4", "--t", "4", "--n", "100000", "--ell", "3", "--seed", "1", "--attempts", "1"], 1),
         (["optimize-p", "--s-equals-t", "--s", "3", "--t", "5"], 2),
         (["optimize-p", "--s", "3"], 2),
     ],
@@ -338,6 +339,7 @@ def test_cf_spec_with_odd_t_is_domain_error(capsys):
         "search-max-n-negative",
         "cf-t-past-int-printing",
         "exact-cf-thousands-of-digits",
+        "color-past-the-vertex-budget",
         "optimize-p-s-equals-t-with-s-and-t",
         "optimize-p-s-without-t",
     ],

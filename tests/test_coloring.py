@@ -15,7 +15,8 @@ from halfmult.coloring import (
 )
 from halfmult.errors import CertificateFormatError
 from halfmult.f2 import build_cf_graph
-from halfmult.graphs import complement, complete, cycle, has_clique
+from halfmult.graphs import Graph, complement, complete, cycle, has_clique
+from halfmult.rng import make_rng
 
 from conftest import REPEATED_FIELDS, color_of, oracle_color_class, pentagon_certificate
 
@@ -109,12 +110,13 @@ def test_failure_path_never_blames_pullback_classes():
 )
 def test_construct_checks_only_the_coin_classes(base, ell, t, n, seed, attempts, monkeypatch):
     # the base check is one find_clique call, and each attempt searches at
-    # most its two coin classes: the pullback classes are never searched
+    # most its two coin classes: the pullback classes are never searched.
+    # The base graph comes as a Graph, each coin class as its dense matrix.
     calls = []
     search = graphs.find_clique
 
     def counted(g, k):
-        calls.append(g.n)
+        calls.append(g.n if isinstance(g, Graph) else len(g))
         return search(g, k)
 
     monkeypatch.setattr(graphs, "find_clique", counted)
@@ -123,6 +125,32 @@ def test_construct_checks_only_the_coin_classes(base, ell, t, n, seed, attempts,
     used = result.attempts_used if isinstance(result, ColoringCertificate) else result.attempts
     assert calls[0] == base.n
     assert 1 < len(calls) <= 1 + 2 * used
+
+
+def _oracle_colors(g, ell: int, n: int, seed: int, attempt: int) -> list[int]:
+    """An attempt's pair colours by walking the pairs: the least map that
+    sends the pair to an edge of g, else the pair's coin, in pair order."""
+    rng = make_rng(seed, attempt)
+    maps = rng.integers(0, g.n, size=(ell - 2, n)).tolist() if ell > 2 else []
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    colors = [next((i + 1 for i, f in enumerate(maps) if g.has_edge(f[u], f[v])), 0) for u, v in pairs]
+    coins = iter(rng.integers(0, 2, size=colors.count(0)).tolist())
+    return [c or ell - 1 + next(coins) for c in colors]
+
+
+@pytest.mark.parametrize("lookups", [1, 700, coloring._MAP_LOOKUPS])
+@pytest.mark.parametrize(
+    "base, ell, t, n, seed",
+    [(build_cf_graph(4), 3, 4, 5, 1), (build_cf_graph(4), 1000, 4, 5, 2), (build_cf_graph(6), 4, 6, 30, 3),
+     (build_cf_graph(6), 10, 6, 17, 4), (cycle(5), 6, 3, 9, 5), (complete(4), 2, 5, 8, 6)],
+)
+def test_pullback_colours_match_a_pair_walk(base, ell, t, n, seed, lookups, monkeypatch):
+    # the maps are read a chunk at a time, one map a step at lookups = 1; the
+    # first hit of each pair must be the least map that hits it
+    monkeypatch.setattr(coloring, "_MAP_LOOKUPS", lookups)
+    result = construct_coloring(base, ell=ell, t=t, n=n, seed=seed, max_attempts=3)
+    assert isinstance(result, ColoringCertificate)
+    assert result.colors.tolist() == _oracle_colors(base, ell, n, seed, result.attempts_used - 1)
 
 
 def test_cf6_certificate_text_is_pinned():

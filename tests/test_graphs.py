@@ -25,6 +25,7 @@ from halfmult.graphs import (
     independence_profile,
     max_clique_size,
     packed_adjacency,
+    pair_matrix,
     sample_er_graph,
     to_graph6,
 )
@@ -320,6 +321,48 @@ def test_relabel_by_degree_matches_edge_loop(n, block, monkeypatch):
         assert rows.dtype == np.uint8 and rows.shape == (n, 8 * ((n + 63) // 64))
         assert not rows[:, (n + 7) // 8 :].any()  # the pad bytes, out to whole uint64 words
         assert (order, graphs._ints(rows)) == oracle_by_degree(g)
+
+
+def _matrix_cases(n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """Pair masks on n vertices: four densities, a planted 6-clique, and two
+    blow-ups whose copies of a vertex are twin rows, non-adjacent or adjacent."""
+    x, y = np.triu_indices(n, 1)
+    masks = [rng.random(len(x)) < p for p in (0.0, 0.1, 0.5, 0.9)]
+    planted = np.zeros(n, dtype=bool)
+    planted[rng.choice(n, size=min(n, 6), replace=False)] = True
+    masks.append(masks[1] | (planted[x] & planted[y]))
+    group = np.arange(n) // 3
+    small = pair_matrix(group[-1] + 1, rng.random(group[-1] * (group[-1] + 1) // 2) < 0.5)
+    masks.append(small[group[x], group[y]])
+    masks.append(small[group[x], group[y]] | (group[x] == group[y]))
+    return masks
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 128, 129, 300])
+def test_find_clique_on_a_matrix_matches_the_graph(n):
+    # a colour class is searched as its dense matrix, relabelled by one stable
+    # argsort and ranked on the relabelled rows: the witness or None must be
+    # the Graph's at every t
+    for mask in _matrix_cases(n, np.random.default_rng(n)):
+        dense, g = pair_matrix(n, mask), from_pairs(n, mask)
+        assert dense.dtype == bool and (dense == dense.T).all() and not dense.diagonal().any()
+        assert graphs._relabel(dense) == graphs._relabel(g)
+        for t in range(1, 8):
+            assert find_clique(dense, t) == find_clique(g, t), (n, t)
+
+
+@pytest.mark.parametrize("block", [1, 7, graphs._INT_ROWS])
+def test_ints_matches_per_row_slicing(block, monkeypatch):
+    monkeypatch.setattr(graphs, "_INT_ROWS", block)
+    rng = np.random.default_rng(block)
+    for width in range(1, 41):
+        for rows in (0, 1, 6, 7, 8, 30):
+            packed = rng.integers(0, 256, size=(rows, width), dtype=np.uint8)
+            expected = tuple(int.from_bytes(packed[i].tobytes(), "little") for i in range(rows))
+            assert graphs._ints(packed) == expected, (width, rows)
+            if rows:  # a column slice is not contiguous
+                wide = rng.integers(0, 256, size=(rows, width + 3), dtype=np.uint8)
+                assert graphs._ints(wide[:, 1 : width + 1]) == graphs._ints(wide[:, 1 : width + 1].copy())
 
 
 def test_packed_adjacency_matches_edges():
