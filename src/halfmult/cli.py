@@ -6,9 +6,11 @@ reruns. --json swaps the human table for one JSON object with stable keys.
 Exit codes: 0 success/valid, 1 domain error or invalid result, 2 usage or
 format/IO error.
 
-Each call builds only the parser of the subcommand it runs; help, a missing
-command and an unknown one build them all. A new command is one _COMMANDS
-entry: its help text and a function that adds its arguments and func.
+Each call builds only the parser of the leaf command it runs, on its own;
+help, a missing or unknown command and arguments that leaf does not take
+fall back to the command tree, so argparse writes every usage and error
+text as the tree does. A new command is one _COMMANDS entry: its help text
+and a function that adds its arguments and func.
 """
 
 from __future__ import annotations
@@ -297,7 +299,7 @@ def _cmd_color(args) -> int:
         return 1
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(result.to_text())
+            fh.writelines(result.text_blocks())
     _emit(
         args,
         {
@@ -478,8 +480,12 @@ def _add_commands(parser, table: dict, dest: str, argv: Sequence[str]) -> None:
         if isinstance(spec, dict):
             _add_commands(p, spec, f"{name}_command", rest)
         else:
-            p.add_argument("--json", action="store_true", help="machine-readable output")
-            spec(p)
+            _add_leaf_args(p, spec)
+
+
+def _add_leaf_args(p, spec) -> None:
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    spec(p)
 
 
 def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
@@ -494,9 +500,41 @@ def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
     return parser
 
 
+def _leaf(argv: list[str]):
+    """The command names argv starts with and the argument function of the
+    leaf command they name, or None when they name no leaf."""
+    table = _COMMANDS
+    for depth, name in enumerate(argv, 1):
+        if name not in table:
+            return None
+        spec = table[name][1]
+        if not isinstance(spec, dict):
+            return argv[:depth], spec
+        table = spec
+    return None
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by its leaf command's parser alone, which is the parser
+    the command tree would hand it to, with the command names set as the
+    tree sets them. Help, a missing or unknown command, and arguments the
+    leaf leaves over go to build_parser(argv), which prints what they ask."""
+    leaf = None if "-h" in argv or "--help" in argv else _leaf(argv)
+    if leaf is not None:
+        path, spec = leaf
+        parser = argparse.ArgumentParser(prog="halfmult " + " ".join(path))
+        _add_leaf_args(parser, spec)
+        args, rest = parser.parse_known_args(argv[len(path) :])
+        if not rest:
+            for dest, name in zip(("command", f"{path[0]}_command"), path):
+                setattr(args, dest, name)
+            return args
+    return build_parser(argv).parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _parse(argv)
     args._argv = argv
     try:
         code = args.func(args)

@@ -22,6 +22,7 @@ Certificate file layout (ASCII, one field per line, then the array):
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,11 @@ _MAGIC = "halfmult-certificate v1"
 # Pair lookups per step of construct_coloring's map loop: a step unpacks the
 # rows of a chunk of maps and gathers one index per pair and map, about 1 MB.
 _MAP_LOOKUPS = 1 << 16
+# Colours per block of certificate text, written or read: a block holds a few
+# bytes of digits per colour and a few int64 temporaries per colour, so the
+# text of any n costs a bounded amount beyond the colour array itself.
+_TEXT_PAIRS = 1 << 16
+_POW10 = 10 ** np.arange(19, dtype=np.int64)  # 1 .. 10^18: an int64 has at most 19 digits
 
 
 def pair_index(u: int, v: int, n: int) -> int:
@@ -56,9 +62,10 @@ def pair_index(u: int, v: int, n: int) -> int:
 class ColoringCertificate:
     """An explicit ell-coloring of K_n with provenance. colors is copied at
     construction into a read-only exact array, checked against the header:
-    int64 where numpy reads the colours as integers, else an object array of
+    an integer array where numpy reads the colours as integers that fit
+    int64 (signed, or unsigned up to 32 bits), else an object array of
     Python ints, which compares them as Python does (numpy reads colours at
-    or beyond 2^63 as floats)."""
+    or beyond 2^63 as floats or uint64)."""
 
     n: int
     ell: int
@@ -70,7 +77,7 @@ class ColoringCertificate:
 
     def __post_init__(self) -> None:
         colors = np.array(self.colors)
-        if colors.dtype.kind != "i":
+        if colors.dtype.kind not in "iu" or not np.can_cast(colors.dtype, np.int64):
             colors = np.array(self.colors, dtype=object)
         colors.flags.writeable = False
         object.__setattr__(self, "colors", colors)
@@ -86,17 +93,24 @@ class ColoringCertificate:
             raise CertificateFormatError(f"color {colors[bad.argmax()]} outside 1..{self.ell}")
 
     def __eq__(self, other) -> bool:
-        """Certificates are equal when they write the same file."""
+        """Certificates are equal when they write the same file: equal header
+        fields and equal colours, whatever the dtypes holding them."""
         if not isinstance(other, ColoringCertificate):
             return NotImplemented
-        return self.to_text() == other.to_text()
+        return self._header() == other._header() and np.array_equal(self.colors, other.colors)
 
     def color_class(self, c: int) -> Graph:
         """The graph formed by edges of color c."""
         return from_pairs(self.n, self.colors == c)
 
-    def to_text(self) -> str:
-        return (
+    def _header(self) -> tuple:
+        return (self.n, self.ell, self.t, self.base_graph, self.seed, self.attempts_used)
+
+    def text_blocks(self) -> Iterator[str]:
+        """The certificate file in pieces: the header through 'colors: ',
+        the colour line a block of _TEXT_PAIRS colours at a time, then the
+        final newline. Writing the pieces in turn writes to_text()."""
+        yield (
             f"{_MAGIC}\n"
             f"n: {self.n}\n"
             f"ell: {self.ell}\n"
@@ -104,8 +118,68 @@ class ColoringCertificate:
             f"base_graph: {self.base_graph}\n"
             f"seed: {self.seed}\n"
             f"attempts_used: {self.attempts_used}\n"
-            f"colors: {','.join(map(str, self.colors.tolist()))}\n"
+            "colors: "
         )
+        colors = self.colors
+        if colors.dtype == object:
+            yield ",".join(map(str, colors.tolist()))
+        else:
+            for start in range(0, len(colors), _TEXT_PAIRS):
+                block = _digit_text(colors[start : start + _TEXT_PAIRS])
+                yield block if start + _TEXT_PAIRS < len(colors) else block[:-1]
+        yield "\n"
+
+    def to_text(self) -> str:
+        return "".join(self.text_blocks())
+
+
+def _digit_text(block: np.ndarray) -> str:
+    """Non-negative integers that fit int64, written as str() writes them,
+    each followed by a comma. Each entry is a row of its digit bytes and a
+    comma; when the widths differ, the leading zeros of the narrower rows are
+    dropped."""
+    block = block.astype(np.int64, copy=False)
+    width = len(str(int(block.max())))
+    rows = np.full((len(block), width + 1), ord(","), dtype=np.uint8)
+    rows[:, width - 1] = (block % 10 if width > 1 else block) + ord("0")
+    for col in range(1, width):
+        rows[:, width - 1 - col] = block // _POW10[col] % 10 + ord("0")
+    if len(str(int(block.min()))) < width:
+        digits = np.maximum(np.searchsorted(_POW10, block, side="right"), 1)
+        rows = rows[np.arange(width + 1) >= width - digits[:, None]]
+    return rows.tobytes().decode("ascii")
+
+
+def _read_digits(text: str) -> np.ndarray | None:
+    """The colour line as int64 when every entry is ASCII digits of one width
+    of at most 18 (so no entry overflows), else None. A block of
+    _TEXT_PAIRS entries at a time is viewed as rows of digit bytes and a
+    comma, checked, and summed by Horner's rule into the preallocated array."""
+    width = text.find(",")
+    if width < 0:
+        width = len(text)
+    if not 1 <= width <= 18 or (len(text) + 1) % (width + 1):
+        return None
+    pairs = (len(text) + 1) // (width + 1)
+    colors = np.empty(pairs, dtype=np.int64)
+    for first in range(0, pairs, _TEXT_PAIRS):
+        chunk = text[first * (width + 1) : (first + _TEXT_PAIRS) * (width + 1)]
+        if first + _TEXT_PAIRS >= pairs:
+            chunk += ","
+        try:
+            raw = chunk.encode("ascii")
+        except UnicodeEncodeError:
+            return None
+        # less "0", a digit byte is 0..9, a comma wraps to 252 and any other byte is neither
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width + 1) - np.uint8(ord("0"))
+        if not ((rows[:, width] == 252).all() and np.count_nonzero(rows < 10) == len(rows) * width):
+            return None
+        out = colors[first : first + len(rows)]
+        out[:] = rows[:, 0]
+        for col in range(1, width):
+            out *= 10
+            out += rows[:, col]
+    return colors
 
 
 def certificate_from_text(text: str) -> ColoringCertificate:
@@ -136,12 +210,14 @@ def certificate_from_text(text: str) -> ColoringCertificate:
         seed = int(fields["seed"])
         attempts_used = int(fields["attempts_used"])
         text_colors = fields["colors"]
-        # the split list lives only in this call, so it is gone before the certificate copies
-        # the array; the array converts each entry as int() does
-        try:
-            colors = np.array(text_colors.split(",") if text_colors else [], dtype=np.int64)
-        except (ValueError, OverflowError):
-            colors = [int(c) for c in text_colors.split(",")]  # int() names the first entry it cannot read
+        colors = _read_digits(text_colors)
+        if colors is None:
+            # the split list lives only in this call, so it is gone before the certificate
+            # copies the array; the array converts each entry as int() does
+            try:
+                colors = np.array(text_colors.split(",") if text_colors else [], dtype=np.int64)
+            except (ValueError, OverflowError):
+                colors = [int(c) for c in text_colors.split(",")]  # int() names the first entry it cannot read
     except ValueError as exc:
         raise CertificateFormatError(f"non-integer field: {exc}") from None
     return ColoringCertificate(n, ell, t, colors, fields["base_graph"], seed, attempts_used)

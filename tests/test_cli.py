@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import halfmult
+from halfmult import cli
 from halfmult.cli import build_parser, main
 from halfmult.f2 import build_cf_graph, count_isotropic_subspaces
 from halfmult.graphs import from_graph6, sample_er_graph
@@ -683,15 +684,100 @@ def test_each_readme_example_builds_one_leaf_parser(parsers_built):
         assert parsers_built == argv[:1] and callable(args.func), argv
 
 
-def test_main_builds_only_the_chosen_parsers(capsys, parsers_built):
+@pytest.fixture
+def argument_parsers(monkeypatch):
+    """prog of every ArgumentParser made, subparsers included."""
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return made
+
+
+def test_main_builds_only_the_chosen_parsers(capsys, argument_parsers):
+    # a valid leaf argv builds its leaf parser and no other
     assert main(["nrec", "--s", "3", "--t", "3", "--json"]) == 0
-    assert parsers_built == ["nrec"]
-    parsers_built.clear()
+    assert argument_parsers == ["halfmult nrec"]
+    argument_parsers.clear()
     assert main(["graph", "sample", "--n", "5", "--p", "0.5", "--seed", "1", "--json"]) == 0
-    assert parsers_built == ["graph", "sample"]
-    parsers_built.clear()
+    assert argument_parsers == ["halfmult graph sample"]
+    argument_parsers.clear()
     build_parser()
-    assert len(parsers_built) == 12  # the ten commands and graph's two leaves
+    assert len(argument_parsers) == 13  # the top level, the ten commands and graph's two leaves
+
+
+# Per leaf: argv with only its required arguments, then with every option
+# (abbreviated, with = and with -- where argparse takes them), then argv
+# whose value argparse cannot convert. A leaf with no typed argument has none.
+_LEAF_ARGV = {
+    "cf": (["--t", "6"], ["--json", "--t=6", "--count", "2", "--out", "x.g6"], ["--t", "six"]),
+    "graph sample": (
+        ["--n", "5", "--p", "0.5", "--seed", "1"],
+        ["--seed", "1", "--p=.5", "--n", "5", "--out", "x", "--js"],
+        ["--n", "5", "--p", "half", "--seed", "1"],
+    ),
+    "graph clique": (["--in", "cf:6", "--t", "4"], ["--t", "4", "--in=x.g6", "--json"], ["--in", "cf:6", "--t", "4.0"]),
+    "exact": (["--in", "cf:6", "--s", "3"], ["--json", "--in", "x.g6", "--s=3"], ["--in", "cf:6", "--s", "x"]),
+    "estimate": (
+        ["--in", "cf:6", "--s", "3", "--trials", "10", "--seed", "1"],
+        ["--trials", "10", "--seed", "-1", "--in", "x", "--s", "3", "--json"],
+        ["--in", "cf:6", "--s", "3", "--trials", "1e3", "--seed", "1"],
+    ),
+    "bounds": (
+        ["--s", "3", "--t", "3"],
+        ["--s", "3", "--t", "3", "--ell", "3", "--p-value", "1/2", "--ramsey", "r.tsv", "--json"],
+        ["--s", "3", "--t", "3", "--ell", "three"],
+    ),
+    "optimize-p": ([], ["--s", "2", "--t", "3", "--s-equals-t", "--tol", "1e-9", "--json"], ["--tol", "tight"]),
+    "nrec": (["--s", "3", "--t", "3"], ["--tol=1e-9", "--t", "3", "--s", "3", "--json"], ["--s", "3", "--t", ""]),
+    "color": (
+        ["--ell", "3", "--t", "4", "--n", "8", "--graph", "cf:4", "--seed", "1"],
+        ["--ell", "3", "--t", "4", "--n", "8", "--graph", "cf:4", "--seed", "1", "--attempts", "5", "--out", "c.txt", "--json"],
+        ["--ell", "3", "--t", "4", "--n", "8", "--graph", "cf:4", "--seed", "1", "--attempts", "many"],
+    ),
+    "verify": (["c.txt"], ["--json", "--", "c.txt"], None),
+    "search": (
+        ["--s", "3", "--t", "3", "--max-n", "5"],
+        ["--s", "3", "--t", "3", "--max-n", "5", "--dedup-iso", "--witness-out", "w.g6", "--json"],
+        ["--s", "3", "--t", "3", "--max-n", "5.5"],
+    ),
+}
+
+
+def _parsed(parse, argv, capsys):
+    """(namespace or exit code, stdout, stderr) of one parse."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+@pytest.mark.parametrize("path", _LEAVES, ids=" ".join)
+def test_leaf_path_parses_as_the_full_tree(monkeypatch, capsys, argument_parsers, path):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert sorted(_LEAF_ARGV) == sorted(" ".join(p) for p in _LEAVES)
+    required, full, bad_type = _LEAF_ARGV[" ".join(path)]
+    # (argv, whether the leaf parser alone answers it): help and a trailing --version go to the tree
+    cases = [(path + required, True), (path + full, True), (path + required[:-1], True)]  # the last misses a value
+    if bad_type is not None:
+        cases.append((path + bad_type, True))
+    cases += [(path + required + ["-h"], False), (path + ["--help"], False), (path + required + ["--version"], False)]
+    for argv, leaf_only in cases:
+        argument_parsers.clear()
+        leaf = _parsed(cli._parse, argv, capsys)
+        built = list(argument_parsers)
+        assert leaf == _parsed(lambda a: build_parser().parse_args(a), argv, capsys), argv
+        assert (built == ["halfmult " + " ".join(path)]) is leaf_only, (argv, built)
+        if argv in (path + required, path + full):
+            assert isinstance(leaf[0], argparse.Namespace) and leaf[0].func, argv
+        else:
+            assert leaf[0] in (0, 2) and leaf[1] + leaf[2], argv
 
 
 # Small or malformed values only: every valid combination must finish in

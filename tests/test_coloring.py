@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfmult import coloring, graphs
 from halfmult.coloring import (
@@ -342,3 +343,143 @@ def test_one_vertex_certificate_round_trips():
     parsed = certificate_from_text(text)
     assert parsed == cert
     assert verify_certificate(cert).valid and verify_certificate(parsed).valid
+
+
+def _joined(colors) -> str:
+    return ",".join(map(str, np.asarray(colors).tolist()))
+
+
+def _text_cases(rng) -> list[tuple[int, np.ndarray]]:
+    """(n, colours) at every width 1..19 digits, alone and mixed with all
+    narrower widths, at 2^63 - 1, in unsigned dtypes, and at n = 1 and 2."""
+    n = 12
+    m = n * (n - 1) // 2
+    cases = []
+    for width in range(1, 20):
+        top = min(10**width - 1, 2**63 - 1)
+        cases.append((n, rng.integers(10 ** (width - 1), top, size=m, endpoint=True)))
+        widths = rng.integers(1, width, size=m, endpoint=True)
+        mixed = [int(rng.integers(10 ** (w - 1), min(10**w - 1, top), endpoint=True)) for w in widths.tolist()]
+        cases.append((n, np.array(mixed)))
+    cases.append((n, np.full(m, 2**63 - 1)))
+    cases.append((n, np.array([2**63 - 1, 1, 10, 9] * (m // 4) + [99] * (m % 4))))
+    for dtype in (np.uint8, np.uint16, np.uint32):
+        cases.append((n, rng.integers(1, np.iinfo(dtype).max, size=m, endpoint=True, dtype=dtype)))
+    cases += [(1, np.zeros(0, dtype=np.int64)), (1, np.zeros(0, dtype=np.uint8))]
+    cases += [(2, np.array([7])), (2, np.array([10**18]))]
+    return cases
+
+
+@pytest.mark.parametrize("pairs", [1, 7, coloring._TEXT_PAIRS])
+def test_colour_text_is_the_str_join(monkeypatch, pairs):
+    monkeypatch.setattr(coloring, "_TEXT_PAIRS", pairs)
+    for n, colors in _text_cases(np.random.default_rng(pairs)):
+        cert = ColoringCertificate(n, 2**63 - 1, 3, colors, "none", 0, 0)
+        assert cert.colors.dtype == colors.dtype
+        blocks = list(cert.text_blocks())
+        assert len(blocks) == 2 + -(-len(colors) // pairs)  # header, one per block, newline
+        text = "".join(blocks)
+        assert text == cert.to_text()
+        assert text.endswith(f"\ncolors: {_joined(colors)}\n"), (n, colors.dtype, colors[:4])
+        assert certificate_from_text(text) == cert
+
+
+_HEADER = "halfmult-certificate v1\nn: {n}\nell: {ell}\nt: 3\nbase_graph: none\nseed: 0\nattempts_used: 0\n"
+
+
+def _old_parse(line: str):
+    """The colour line as split and int() read it, the reference for every
+    line, whichever reader takes it."""
+    try:
+        return np.array(line.split(",") if line else [], dtype=np.int64)
+    except (ValueError, OverflowError):
+        try:
+            return [int(c) for c in line.split(",")]
+        except ValueError as exc:
+            raise CertificateFormatError(f"non-integer field: {exc}") from None
+
+
+def _outcome(make):
+    try:
+        return make()
+    except CertificateFormatError as exc:
+        return str(exc)
+
+
+_ENTRY = st.one_of(
+    st.from_regex(r"[0-9]{1,22}", fullmatch=True),
+    st.from_regex(r"[ +-]?[0-9_]{0,3}[0-9٠-٩ _]?", fullmatch=True),
+    st.sampled_from(["", " ", "_", "1_0", "١", "+1", "-1", " 2", "2 ", "0", "00", "007", "9" * 19, "1" + "0" * 18]),
+)
+_ONE_WIDTH = st.integers(1, 20).flatmap(
+    lambda w: st.lists(st.from_regex(f"[0-9]{{{w}}}", fullmatch=True), min_size=1, max_size=28)
+)
+
+
+@pytest.mark.parametrize("pairs", [1, 7, coloring._TEXT_PAIRS])
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    entries=st.one_of(_ONE_WIDTH, st.lists(_ENTRY, min_size=1, max_size=28)),
+    extra=st.one_of(st.none(), _ENTRY),
+    where=st.integers(0, 28),
+    trailing=st.booleans(),
+)
+def test_colour_line_reads_as_int_reads_it(pairs, entries, extra, where, trailing):
+    # signs, spaces, underscores, Unicode digits, leading zeros, empty entries, trailing commas,
+    # 19+ digit entries and mixed widths: the one-width reader takes a line only when every entry
+    # is ASCII digits of one width <= 18, and reads it as int() does; every other line, and so every
+    # message, is the split-and-int() parse's
+    if extra is not None:
+        entries = entries[:where] + [extra] + entries[where:]
+    line = ",".join(entries) + ("," if trailing else "")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coloring, "_TEXT_PAIRS", pairs)
+        fast = coloring._read_digits(line)
+        ascii_digits = all(e.isascii() and e.isdigit() for e in entries)
+        one_width = not trailing and ascii_digits and len({len(e) for e in entries}) == 1
+        if one_width and len(entries[0]) <= 18:
+            assert fast is not None and fast.dtype == np.int64 and fast.tolist() == [int(e) for e in entries]
+        else:
+            assert fast is None
+        n = next(n for n in range(2, 10) if n * (n - 1) // 2 >= len(entries))  # often the count, else a count error
+        for ell in (2, 10**25):
+            text = _HEADER.format(n=n, ell=ell) + f"colors: {line}\n"
+            expected = _outcome(lambda: ColoringCertificate(n, ell, 3, _old_parse(line.strip()), "none", 0, 0))
+            assert _outcome(lambda: certificate_from_text(text)) == expected
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_narrow_colour_dtypes_are_kept_exact(dtype):
+    # the int64 certificate's twins in narrower integer dtypes stay integer arrays, not Python
+    # ints, and write, compare and verify as it does
+    cert = construct_coloring(build_cf_graph(6), 3, 6, 28, 5, 50, base_label="cf:6")
+    twin = ColoringCertificate(
+        cert.n, cert.ell, cert.t, cert.colors.astype(dtype), cert.base_graph, cert.seed, cert.attempts_used
+    )
+    assert (cert.colors.dtype, twin.colors.dtype) == (np.int64, dtype)
+    assert twin.to_text() == cert.to_text() and twin == cert
+    assert verify_certificate(twin) == verify_certificate(cert)
+    bad = np.array(cert.colors)
+    bad[[pair_index(0, 1, 28), pair_index(0, 2, 28), pair_index(1, 2, 28)]] = 3
+    bad_twin = ColoringCertificate(28, 3, 3, bad.astype(dtype), "none", 0, 0)
+    assert verify_certificate(bad_twin) == verify_certificate(ColoringCertificate(28, 3, 3, bad, "none", 0, 0))
+    assert not verify_certificate(bad_twin).valid
+
+
+def test_certificates_compare_by_header_and_colours():
+    cert = ColoringCertificate(3, 2, 3, np.array([1, 2, 1]), "none", 0, 0)
+    boxed = ColoringCertificate(3, 2, 3, np.array([1, 2, 1], dtype=object), "none", 0, 0)
+    assert (cert.colors.dtype, boxed.colors.dtype) == (np.int64, object)
+    assert cert == boxed and boxed == cert
+    assert cert == ColoringCertificate(3, 2, 3, np.array([1, 2, 1], dtype=np.uint8), "none", 0, 0)
+    for other in (
+        ColoringCertificate(3, 2, 3, (1, 2, 1), "cf:4", 0, 0),
+        ColoringCertificate(3, 2, 3, (1, 2, 1), "none", 1, 0),
+        ColoringCertificate(3, 2, 3, (1, 2, 1), "none", 0, 1),
+        ColoringCertificate(3, 3, 3, (1, 2, 1), "none", 0, 0),
+        ColoringCertificate(3, 2, 4, (1, 2, 1), "none", 0, 0),
+        ColoringCertificate(3, 2, 3, (1, 2, 2), "none", 0, 0),
+        ColoringCertificate(3, 2, 3, np.array([1, 2, 2], dtype=object), "none", 0, 0),
+    ):
+        assert cert != other and boxed != other and (cert.to_text() == other.to_text()) is False
+    assert cert != cert.to_text()
