@@ -6,11 +6,11 @@ reruns. --json swaps the human table for one JSON object with stable keys.
 Exit codes: 0 success/valid, 1 domain error or invalid result, 2 usage or
 format/IO error.
 
-Each call builds only the parser of the leaf command it runs, on its own;
-help, a missing or unknown command and arguments that leaf does not take
-fall back to the command tree, so argparse writes every usage and error
-text as the tree does. A new command is one _COMMANDS entry: its help text
-and a function that adds its arguments and func.
+A call builds the parser of the leaf command argv names, which prints that
+leaf's help and errors too. Only an argv that names no leaf, or leaves the
+leaf arguments it does not take, builds the whole command tree, so argparse
+writes every usage and error text as the tree does. A new command is one
+_COMMANDS entry: its help text and a function that adds its arguments and func.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import os
 import shlex
 import sys
 import time
-from collections.abc import Sequence
 from fractions import Fraction
 
 from . import __version__
@@ -466,19 +465,13 @@ _COMMANDS = {
 }
 
 
-def _add_commands(parser, table: dict, dest: str, argv: Sequence[str]) -> None:
-    """Add the subparser argv[0] names, or every subparser of the table when
-    it names none, so that help and choice errors list them all."""
-    names, rest, kwargs = list(table), (), {}
-    if argv and argv[0] in table:
-        names, rest = argv[:1], argv[1:]
-        kwargs["metavar"] = "{" + ",".join(table) + "}"  # keeps the usage line whole
-    sub = parser.add_subparsers(dest=dest, required=True, **kwargs)
-    for name in names:
-        help_text, spec = table[name]
+def _add_commands(parser, table: dict, dest: str) -> None:
+    """Add a subparser for every command of the table."""
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for name, (help_text, spec) in table.items():
         p = sub.add_parser(name, help=help_text)
         if isinstance(spec, dict):
-            _add_commands(p, spec, f"{name}_command", rest)
+            _add_commands(p, spec, f"{name}_command")
         else:
             _add_leaf_args(p, spec)
 
@@ -488,15 +481,15 @@ def _add_leaf_args(p, spec) -> None:
     spec(p)
 
 
-def build_parser(argv: Sequence[str] = ()) -> argparse.ArgumentParser:
-    """The parser for argv: its chosen subcommand only, or every subcommand
-    when argv names none (as with no argument)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: the parser of every argv that names no leaf
+    command or leaves arguments over."""
     parser = argparse.ArgumentParser(
         prog="halfmult",
         description="Half-multiplicity Ramsey toolkit: probabilities, bounds, and colorings.",
     )
     parser.add_argument("--version", action="version", version=f"halfmult {__version__}")
-    _add_commands(parser, _COMMANDS, "command", argv)
+    _add_commands(parser, _COMMANDS, "command")
     return parser
 
 
@@ -515,11 +508,11 @@ def _leaf(argv: list[str]):
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by its leaf command's parser alone, which is the parser
-    the command tree would hand it to, with the command names set as the
-    tree sets them. Help, a missing or unknown command, and arguments the
-    leaf leaves over go to build_parser(argv), which prints what they ask."""
-    leaf = None if "-h" in argv or "--help" in argv else _leaf(argv)
+    """argv parsed by its leaf command's parser alone, the parser the command
+    tree would hand it to, with the command names set as the tree sets them;
+    it prints the leaf's help and errors. Any other argv, or arguments the
+    leaf leaves over, go to build_parser(), which prints what they ask."""
+    leaf = _leaf(argv)
     if leaf is not None:
         path, spec = leaf
         parser = argparse.ArgumentParser(prog="halfmult " + " ".join(path))
@@ -529,7 +522,7 @@ def _parse(argv: list[str]) -> argparse.Namespace:
             for dest, name in zip(("command", f"{path[0]}_command"), path):
                 setattr(args, dest, name)
             return args
-    return build_parser(argv).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -32,7 +32,6 @@ from .graphs import (
     GRAPH_VERTEX_BUDGET,
     Graph,
     find_clique,
-    from_pairs,
     has_clique,
     packed_adjacency,
     pair_matrix,
@@ -98,10 +97,6 @@ class ColoringCertificate:
         if not isinstance(other, ColoringCertificate):
             return NotImplemented
         return self._header() == other._header() and np.array_equal(self.colors, other.colors)
-
-    def color_class(self, c: int) -> Graph:
-        """The graph formed by edges of color c."""
-        return from_pairs(self.n, self.colors == c)
 
     def _header(self) -> tuple:
         return (self.n, self.ell, self.t, self.base_graph, self.seed, self.attempts_used)

@@ -20,6 +20,7 @@ from halfmult.cli import build_parser, main
 from halfmult.f2 import build_cf_graph, count_isotropic_subspaces
 from halfmult.graphs import from_graph6, sample_er_graph
 from halfmult.search import min_independence_prob
+from perfbench import workloads
 
 from conftest import REPEATED_FIELDS
 
@@ -582,21 +583,6 @@ _LEAVES = [
 ]
 
 
-def _leaf(parser, path):
-    for name in path:
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        parser = sub.choices[name]
-    return parser
-
-
-@pytest.mark.parametrize("path", _LEAVES, ids=" ".join)
-def test_leaf_parser_alone_matches_the_full_tree(monkeypatch, path):
-    monkeypatch.setenv("COLUMNS", "80")
-    alone, full = _leaf(build_parser(path), path), _leaf(build_parser(), path)
-    assert alone.format_help() == full.format_help()
-    assert alone.format_usage() == full.format_usage()
-
-
 _USAGE = """usage: halfmult [-h] [--version]
                 {cf,graph,exact,estimate,bounds,optimize-p,nrec,color,verify,search}
                 ...
@@ -662,29 +648,6 @@ def test_help_and_usage_errors_are_unchanged(monkeypatch, capsys, argv, expected
 
 
 @pytest.fixture
-def parsers_built(monkeypatch):
-    built = []
-    add_parser = argparse._SubParsersAction.add_parser
-
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
-
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    return built
-
-
-def test_each_readme_example_builds_one_leaf_parser(parsers_built):
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    examples = [shlex.split(line)[1:] for line in readme.read_text().splitlines() if line.startswith("halfmult ")]
-    assert len(examples) >= 8
-    for argv in examples:
-        parsers_built.clear()
-        args = build_parser(argv).parse_args(argv)
-        assert parsers_built == argv[:1] and callable(args.func), argv
-
-
-@pytest.fixture
 def argument_parsers(monkeypatch):
     """prog of every ArgumentParser made, subparsers included."""
     made = []
@@ -696,6 +659,37 @@ def argument_parsers(monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     return made
+
+
+def _parses_with_its_leaf_parser_alone(argument_parsers, argv) -> None:
+    argument_parsers.clear()
+    args = cli._parse(argv)
+    path = [args.command] + ([args.graph_command] if args.command == "graph" else [])
+    assert callable(args.func) and argv[: len(path)] == path, argv
+    assert argument_parsers == ["halfmult " + " ".join(path)], argv
+
+
+def test_each_readme_example_builds_one_leaf_parser(argument_parsers):
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    examples = [shlex.split(line)[1:] for line in readme.read_text().splitlines() if line.startswith("halfmult ")]
+    assert len(examples) >= 8
+    for argv in examples:
+        _parses_with_its_leaf_parser_alone(argument_parsers, argv)
+
+
+def test_benchmark_jobs_and_leaf_help_build_one_parser(capsys, argument_parsers):
+    # Every benchmark job's argv, as the benchmark runs it, is parsed by its leaf's
+    # parser alone: the whole tree costs more than a short job.
+    for workload in workloads.WORKLOADS:
+        jobs = workloads.job_list(workload, 1, 20, workloads.load_refs(workload))
+        assert jobs, workload
+        for job in jobs:
+            _parses_with_its_leaf_parser_alone(argument_parsers, [*job.argv, "--json"])
+    argument_parsers.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["nrec", "-h"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: halfmult nrec ")
+    assert argument_parsers == ["halfmult nrec"]
 
 
 def test_main_builds_only_the_chosen_parsers(capsys, argument_parsers):
@@ -763,11 +757,11 @@ def test_leaf_path_parses_as_the_full_tree(monkeypatch, capsys, argument_parsers
     monkeypatch.setenv("COLUMNS", "80")
     assert sorted(_LEAF_ARGV) == sorted(" ".join(p) for p in _LEAVES)
     required, full, bad_type = _LEAF_ARGV[" ".join(path)]
-    # (argv, whether the leaf parser alone answers it): help and a trailing --version go to the tree
+    # (argv, whether the leaf parser alone answers it): a trailing --version goes to the tree
     cases = [(path + required, True), (path + full, True), (path + required[:-1], True)]  # the last misses a value
     if bad_type is not None:
         cases.append((path + bad_type, True))
-    cases += [(path + required + ["-h"], False), (path + ["--help"], False), (path + required + ["--version"], False)]
+    cases += [(path + required + ["-h"], True), (path + ["--help"], True), (path + required + ["--version"], False)]
     for argv, leaf_only in cases:
         argument_parsers.clear()
         leaf = _parsed(cli._parse, argv, capsys)

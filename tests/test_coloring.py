@@ -16,7 +16,7 @@ from halfmult.coloring import (
 )
 from halfmult.errors import CertificateFormatError
 from halfmult.f2 import build_cf_graph
-from halfmult.graphs import Graph, complement, complete, cycle, has_clique
+from halfmult.graphs import Graph, complement, complete, cycle, from_pairs, has_clique
 from halfmult.rng import make_rng
 
 from conftest import REPEATED_FIELDS, color_of, oracle_color_class, pentagon_certificate
@@ -61,7 +61,7 @@ def test_construct_pullback_classes_are_safe():
     cert = construct_coloring(g, ell=4, t=4, n=8, seed=3, max_attempts=500, base_label="cf:4")
     assert isinstance(cert, ColoringCertificate)
     for c in (1, 2):
-        assert not has_clique(cert.color_class(c), 4)
+        assert not has_clique(from_pairs(cert.n, cert.colors == c), 4)
 
 
 def test_construct_rejects_cliquey_base():
@@ -171,13 +171,13 @@ def test_color_class_matches_pair_walk(n):
     colors = tuple(rng.randint(1, ell) for _ in range(n * (n - 1) // 2))
     cert = ColoringCertificate(n, ell, 3, colors, "none", 0, 0)
     for c in range(ell + 2):
-        assert cert.color_class(c) == oracle_color_class(cert, c)
+        assert from_pairs(cert.n, cert.colors == c) == oracle_color_class(cert, c)
 
 
 def test_pentagon_certificate_valid_for_t3():
     # R(3,3) > 5: colour 1 is the pentagon, colour 2 its chords, neither holds a triangle
     cert = pentagon_certificate(5)
-    assert (cert.color_class(1), cert.color_class(2)) == (cycle(5), complement(cycle(5)))
+    assert (from_pairs(5, cert.colors == 1), from_pairs(5, cert.colors == 2)) == (cycle(5), complement(cycle(5)))
     for n in range(3, 6):
         assert verify_certificate(pentagon_certificate(n)).valid, n
 
@@ -289,8 +289,8 @@ def test_colours_beyond_int64_are_told_apart():
     assert parsed == cert
     assert verify_certificate(cert).valid and verify_certificate(parsed).valid
     for c in (1, 2**63, 2**63 + 1):
-        assert cert.color_class(c) == oracle_color_class(cert, c)
-    assert cert.color_class(2**63).edge_count == 2
+        assert from_pairs(cert.n, cert.colors == c) == oracle_color_class(cert, c)
+    assert from_pairs(cert.n, cert.colors == 2**63).edge_count == 2
     with pytest.raises(CertificateFormatError, match=f"color {2**64 + 1} outside 1..{2**64}"):
         verify_certificate(ColoringCertificate(4, 2**64, 3, (1, 2**63, 2**64 + 1, 1, 1, 1), "none", 0, 0))
 
