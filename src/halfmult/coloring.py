@@ -40,9 +40,6 @@ from .graphs import (
 from .rng import make_rng
 
 _MAGIC = "halfmult-certificate v1"
-# Pair lookups per step of construct_coloring's map loop: a step unpacks the
-# rows of a chunk of maps and gathers one index per pair and map, about 1 MB.
-_MAP_LOOKUPS = 1 << 16
 # Colours per block of certificate text, written or read: a block holds a few
 # bytes of digits per colour and a few int64 temporaries per colour, so the
 # text of any n costs a bounded amount beyond the colour array itself.
@@ -302,38 +299,31 @@ def construct_coloring(
         base_label = to_graph6(g)
 
     m = n * (n - 1) // 2
-    # Map f sends pair (x, y) to an edge iff bit f[y] of base row f[x] is set.
-    # A chunk of k maps unpacks its (k, n, g.n) rows and reads map i's pair
-    # at flat index (i n + x) g.n + f_i[y]. Map j weighs ell - 2 - j, so the
-    # heaviest hit of a pair, over every chunk, is its least hitting map: a max
-    # over the map axis, which numpy runs 7x faster than an argmax there.
+    # Map f sends pair (x, y) to an edge iff bit f[y] of base row f[x] is set:
+    # with the map's (n, g.n) rows unpacked, that is flat index x g.n + f[y].
+    # A pair's colour is the first map that hits it, so each map colours only
+    # the pairs that no earlier map hit.
     x, y = np.triu_indices(n, 1)  # row-major order matches pair_index
     x *= g.n  # in place: a third pair-long array would stay resident
-    k = max(1, min(ell - 2, _MAP_LOOKUPS // (n * max(n, g.n))))  # no wider than the maps drawn
-    map_starts = np.arange(k)[:, None] * (n * g.n)
-    weights = np.arange(ell - 2, 0, -1, dtype=np.min_scalar_type(ell))[:, None]  # uint8, as hits are, for ell < 256
     packed = packed_adjacency(g)
 
     violations: list[tuple[int, int, tuple[int, ...]]] = []
     for attempt in range(max_attempts):
         rng = make_rng(seed, attempt)
         colors = np.zeros(m, dtype=np.int64)
-        if ell > 2:
-            maps = rng.integers(0, g.n, size=(ell - 2, n))
-            for start in range(0, ell - 2, k):
-                chunk = maps[start : start + k]
-                rows = np.unpackbits(packed.take(chunk, axis=0), axis=2, count=g.n, bitorder="little")
-                at = chunk.take(y, axis=1)
-                at += x
-                at += map_starts[: len(chunk)]
-                hits = rows.take(at)
-                del rows, at  # freed before the class checks
-                np.maximum(colors, (hits * weights[start : start + k]).max(axis=0), out=colors)
-            np.subtract(ell - 1, colors, out=colors, where=colors > 0)  # weight w is colour ell - 1 - w
-        remaining = colors == 0
-        tail = int(remaining.sum())
-        bits = rng.integers(0, 2, size=tail)
-        colors[remaining] = (ell - 1) + bits
+        free = np.ones(m, dtype=bool)  # the pairs no map has sent to an edge yet
+        maps = rng.integers(0, g.n, size=(ell - 2, n)) if ell > 2 else ()
+        for color, f in enumerate(maps, 1):
+            rows = np.unpackbits(packed.take(f, axis=0), axis=1, count=g.n, bitorder="little")
+            hit = rows.take(f.take(y) + x).view(bool)
+            hit &= free
+            np.putmask(colors, hit, color)
+            free ^= hit
+            # every map is drawn before this loop, so stopping early leaves
+            # the coin bits where they are in the stream
+            if not free.any():
+                break
+        colors[free] = (ell - 1) + rng.integers(0, 2, size=np.count_nonzero(free))
         # classes 1..ell-2 are pullbacks of g, K_t-free by the base check
         result = _verify_classes(colors, n, t, range(max(1, ell - 1), ell + 1))
         if result.valid:

@@ -16,7 +16,7 @@ from halfmult.coloring import (
 )
 from halfmult.errors import CertificateFormatError
 from halfmult.f2 import build_cf_graph
-from halfmult.graphs import Graph, complement, complete, cycle, from_pairs, has_clique
+from halfmult.graphs import Graph, complement, complete, cycle, edgeless, from_pairs, has_clique
 from halfmult.rng import make_rng
 
 from conftest import REPEATED_FIELDS, color_of, oracle_color_class, pentagon_certificate
@@ -139,16 +139,16 @@ def _oracle_colors(g, ell: int, n: int, seed: int, attempt: int) -> list[int]:
     return [c or ell - 1 + next(coins) for c in colors]
 
 
-@pytest.mark.parametrize("lookups", [1, 700, coloring._MAP_LOOKUPS])
 @pytest.mark.parametrize(
     "base, ell, t, n, seed",
     [(build_cf_graph(4), 3, 4, 5, 1), (build_cf_graph(4), 1000, 4, 5, 2), (build_cf_graph(6), 4, 6, 30, 3),
-     (build_cf_graph(6), 10, 6, 17, 4), (cycle(5), 6, 3, 9, 5), (complete(4), 2, 5, 8, 6)],
+     (build_cf_graph(6), 10, 6, 17, 4), (cycle(5), 6, 3, 9, 5), (complete(4), 2, 5, 8, 6),
+     (build_cf_graph(6), 9, 6, 40, 7), (edgeless(2), 4, 4, 5, 8)],
 )
-def test_pullback_colours_match_a_pair_walk(base, ell, t, n, seed, lookups, monkeypatch):
-    # the maps are read a chunk at a time, one map a step at lookups = 1; the
-    # first hit of each pair must be the least map that hits it
-    monkeypatch.setattr(coloring, "_MAP_LOOKUPS", lookups)
+def test_pullback_colours_match_a_pair_walk(base, ell, t, n, seed):
+    # the first hit of each pair must be the least map that hits it: at
+    # ell = 1000 every pair is hit long before the last map, and on an
+    # edgeless base no map hits any pair, so every colour is a coin
     result = construct_coloring(base, ell=ell, t=t, n=n, seed=seed, max_attempts=3)
     assert isinstance(result, ColoringCertificate)
     assert result.colors.tolist() == _oracle_colors(base, ell, n, seed, result.attempts_used - 1)
